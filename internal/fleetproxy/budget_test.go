@@ -133,3 +133,37 @@ func TestProxyRetryBudgetExported(t *testing.T) {
 		t.Fatalf("healthz advertises retry_budget with the budget disabled: %s", body)
 	}
 }
+
+// TestProxyDeadPrimaryFailsOverWithoutBudget: with the retry budget empty, a
+// dead primary — its listener closed, so the dial is refused — still fails
+// over to the replica, which answers. The failover draws nothing from the
+// budget: the refused attempt put no load on any backend.
+func TestProxyDeadPrimaryFailsOverWithoutBudget(t *testing.T) {
+	f := newTestFleet(t, 2, Config{
+		RetryBackoff: time.Millisecond,
+		Hedge:        HedgeSpec{Disabled: true},
+	})
+	key := f.keyOwnedBy(t, 0)
+	for f.proxy.budget.Withdraw() {
+	}
+	withdrawn := f.proxy.budget.Stats().Withdrawn
+	f.servers[0].Close()
+
+	resp, body := f.post(t, "/v1/recommend", map[string]any{"machine": key})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s), want the replica's 200", resp.StatusCode, body)
+	}
+	var got struct {
+		Backend string `json:"backend"`
+	}
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Backend != "backend-1" || resp.Header.Get("X-Parcost-Degraded") != "" {
+		t.Fatalf("answer from %q (degraded %q), want a fresh answer from backend-1",
+			got.Backend, resp.Header.Get("X-Parcost-Degraded"))
+	}
+	if st := f.proxy.budget.Stats(); st.Withdrawn != withdrawn {
+		t.Fatalf("dead-backend failover withdrew %d budget tokens", st.Withdrawn-withdrawn)
+	}
+}

@@ -8,8 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
+	"strings"
+	"syscall"
 	"time"
 
 	"parcost/internal/admission"
@@ -108,8 +111,9 @@ func (p *Proxy) roundTrip(ctx context.Context, method, url string, body []byte) 
 // (e.g. /v1/observe on a plain serve without the retrain daemon), so a
 // replica would answer the same and failing over just burns the budget.
 type attemptOut struct {
-	res upstream
-	err error
+	res  upstream
+	err  error
+	dead bool // see connFailure
 }
 
 func (a attemptOut) ok() bool {
@@ -117,9 +121,27 @@ func (a attemptOut) ok() bool {
 		(a.res.status < http.StatusInternalServerError || a.res.status == http.StatusNotImplemented)
 }
 
+// connFailure reports whether err says the backend is down rather than slow
+// or failing: the dial was refused, or the connection was reset or closed
+// before any response arrived. Only client.Do wraps its errors in
+// *url.Error, so a failure while reading a response body never counts.
+func connFailure(err error) bool {
+	var ue *url.Error
+	if !errors.As(err, &ue) {
+		return false
+	}
+	return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, syscall.EPIPE) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		strings.Contains(err.Error(), errServerClosedIdle)
+}
+
+// errServerClosedIdle is the text of net/http's unexported error for a
+// pooled connection the backend closed before the request got an answer.
+const errServerClosedIdle = "http: server closed idle connection"
+
 // tryBackends runs the fault-tolerant forwarding loop over a key's failover
 // candidates: attempt the primary; retry the next replica (with backoff and
-// jitter) on connection failure or 5xx, up to the per-request retry cap;
+// jitter) on a failed exchange or 5xx, up to the per-request retry cap;
 // hedge one duplicate onto the next replica when the in-flight attempt
 // outlives the hedge threshold. First sub-500 answer wins and cancels the
 // rest. Returns ok=false when every admitted candidate failed (or none were
@@ -130,7 +152,11 @@ func (a attemptOut) ok() bool {
 // initial requests. Under a fleet-wide brownout the per-request ladder would
 // multiply offered backend QPS by 1+Retries (and hedges on top); the budget
 // caps that amplification at ~RetryBudget extra load regardless of how many
-// requests are failing at once.
+// requests are failing at once. The one exception is a dead backend (see
+// connFailure): its attempt put no load on anything, so failing over from it
+// is immediate and free. Otherwise a backend's death would fail all its
+// in-flight requests at once, drain the budget, and strand them while a
+// healthy replica stood by.
 func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands []*backendState) (upstream, bool) {
 	p.budget.Deposit() // each initial request earns a fraction of a retry token
 	if len(cands) == 0 {
@@ -158,6 +184,7 @@ func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands
 			start := p.cfg.Now()
 			out := attemptOut{}
 			out.res, out.err = p.roundTrip(ctx, http.MethodPost, b.url+path, body)
+			out.dead = connFailure(out.err)
 			if out.ok() {
 				b.breaker.Success()
 				p.reservoir.add(p.cfg.Now().Sub(start))
@@ -183,7 +210,10 @@ func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands
 			if out.ok() {
 				return out.res, true
 			}
-			if launched < maxSeq && next < len(cands) && p.budget.Withdraw() {
+			if launched < maxSeq && next < len(cands) && out.dead {
+				launch(0)
+				launched++
+			} else if launched < maxSeq && next < len(cands) && p.budget.Withdraw() {
 				retries++
 				launch(p.backoff(retries))
 				launched++

@@ -20,32 +20,75 @@ const (
 	AdvisorArtifactVersion = 1
 )
 
-// advisorArtifact is the on-disk advisor envelope. The checksum covers the
-// whole payload — machine, grid, AND nested model artifact — so corruption
-// anywhere in the file is rejected at load, not just inside the model
-// state (a flipped digit in the grid would otherwise silently change every
-// recommendation).
-type advisorArtifact struct {
+// envelope is the on-disk wrapper of both guide artifact generations, an
+// advisor artifact and a fleet bundle. The checksum covers the whole payload
+// — for an advisor the machine, grid, AND nested model artifact — so
+// corruption anywhere in the file is rejected at load, not just inside the
+// model state (a flipped digit in the grid would otherwise silently change
+// every recommendation).
+type envelope struct {
 	Format   string          `json:"format"`
 	Version  int             `json:"version"`
 	Checksum string          `json:"checksum"` // sha256 hex of the payload bytes
 	Payload  json.RawMessage `json:"payload"`
 }
 
-// sniffArtifactFormat reads just the envelope's format tag so loaders that
-// accept several artifact generations (DecodeFleet: fleet bundle OR
-// single-advisor artifact) can dispatch without attempting full decodes.
-func sniffArtifactFormat(data []byte) (string, error) {
-	var head struct {
-		Format string `json:"format"`
+// envelopeKind names one envelope generation: its format tag, the version
+// this reader handles, and the words its errors use ("advisor artifact",
+// "fleet bundle").
+type envelopeKind struct {
+	format        string
+	version       int
+	subject, noun string
+}
+
+var (
+	advisorEnvelope = envelopeKind{AdvisorArtifactFormat, AdvisorArtifactVersion, "advisor", "artifact"}
+	bundleEnvelope  = envelopeKind{FleetBundleFormat, FleetBundleVersion, "fleet", "bundle"}
+)
+
+// seal marshals payload and wraps it in a checksummed envelope.
+func (k envelopeKind) seal(payload any) ([]byte, error) {
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return nil, err
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return "", fmt.Errorf("guide: malformed artifact: %w", err)
+	sum := sha256.Sum256(raw)
+	return json.Marshal(envelope{
+		Format:   k.format,
+		Version:  k.version,
+		Checksum: hex.EncodeToString(sum[:]),
+		Payload:  raw,
+	})
+}
+
+// decode unmarshals data as an envelope of this kind and opens it.
+func (k envelopeKind) decode(data []byte, dst any) error {
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return fmt.Errorf("guide: malformed %s %s: %w", k.subject, k.noun, err)
 	}
-	if head.Format == "" {
-		return "", fmt.Errorf("guide: artifact has no format tag")
+	return k.open(&env, dst)
+}
+
+// open checks an envelope's format, version and checksum, then unmarshals
+// its payload into dst.
+func (k envelopeKind) open(env *envelope, dst any) error {
+	if env.Format != k.format {
+		return fmt.Errorf("guide: %s format %q, want %q", k.noun, env.Format, k.format)
 	}
-	return head.Format, nil
+	if env.Version != k.version {
+		return fmt.Errorf("guide: %s %s version %d not supported (reader handles %d)",
+			k.subject, k.noun, env.Version, k.version)
+	}
+	sum := sha256.Sum256(env.Payload)
+	if got := hex.EncodeToString(sum[:]); got != env.Checksum {
+		return fmt.Errorf("guide: %s %s checksum mismatch (corrupt %s?)", k.subject, k.noun, k.noun)
+	}
+	if err := json.Unmarshal(env.Payload, dst); err != nil {
+		return fmt.Errorf("guide: malformed %s payload: %w", k.subject, err)
+	}
+	return nil
 }
 
 // advisorPayload is the checksummed content. Model holds a complete ml
@@ -66,42 +109,22 @@ func EncodeAdvisor(adv *Advisor, machineName string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guide: encoding advisor model: %w", err)
 	}
-	payload, err := json.Marshal(advisorPayload{Machine: machineName, Grid: adv.Grid, Model: model})
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(payload)
-	return json.Marshal(advisorArtifact{
-		Format:   AdvisorArtifactFormat,
-		Version:  AdvisorArtifactVersion,
-		Checksum: hex.EncodeToString(sum[:]),
-		Payload:  payload,
-	})
+	return advisorEnvelope.seal(advisorPayload{Machine: machineName, Grid: adv.Grid, Model: model})
 }
 
 // DecodeAdvisor validates an advisor artifact (format, version, payload
 // checksum) and rebuilds the advisor, returning the machine name recorded
 // at training time.
 func DecodeAdvisor(data []byte) (*Advisor, string, error) {
-	var art advisorArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return nil, "", fmt.Errorf("guide: malformed advisor artifact: %w", err)
-	}
-	if art.Format != AdvisorArtifactFormat {
-		return nil, "", fmt.Errorf("guide: artifact format %q, want %q", art.Format, AdvisorArtifactFormat)
-	}
-	if art.Version != AdvisorArtifactVersion {
-		return nil, "", fmt.Errorf("guide: advisor artifact version %d not supported (reader handles %d)",
-			art.Version, AdvisorArtifactVersion)
-	}
-	sum := sha256.Sum256(art.Payload)
-	if got := hex.EncodeToString(sum[:]); got != art.Checksum {
-		return nil, "", fmt.Errorf("guide: advisor artifact checksum mismatch (corrupt artifact?)")
-	}
 	var payload advisorPayload
-	if err := json.Unmarshal(art.Payload, &payload); err != nil {
-		return nil, "", fmt.Errorf("guide: malformed advisor payload: %w", err)
+	if err := advisorEnvelope.decode(data, &payload); err != nil {
+		return nil, "", err
 	}
+	return payload.advisor()
+}
+
+// advisor rebuilds the advisor an opened payload describes.
+func (payload *advisorPayload) advisor() (*Advisor, string, error) {
 	if len(payload.Grid.Nodes) == 0 || len(payload.Grid.TileSizes) == 0 {
 		return nil, "", fmt.Errorf("guide: advisor artifact has an empty candidate grid")
 	}

@@ -1,8 +1,6 @@
 package guide
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -35,17 +33,10 @@ type FleetEntry struct {
 	Advisor *Advisor
 }
 
-// fleetBundle is the on-disk envelope, mirroring advisorArtifact.
-type fleetBundle struct {
-	Format   string          `json:"format"`
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"` // sha256 hex of the payload bytes
-	Payload  json.RawMessage `json:"payload"`
-}
-
-// fleetPayload is the checksummed content. AdvisorFormat/AdvisorVersion
-// declare the format of every nested entry so a reader can reject a bundle
-// of artifacts it cannot decode before unwrapping any of them.
+// fleetPayload is the checksummed content of a bundle's envelope.
+// AdvisorFormat/AdvisorVersion declare the format of every nested entry so a
+// reader can reject a bundle of artifacts it cannot decode before unwrapping
+// any of them.
 type fleetPayload struct {
 	Meta           BundleMeta       `json:"meta"`
 	AdvisorFormat  string           `json:"advisor_format"`
@@ -84,17 +75,7 @@ func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 		}
 		payload.Entries = append(payload.Entries, fleetEntryJSON{Machine: e.Machine, Advisor: art})
 	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(raw)
-	return json.Marshal(fleetBundle{
-		Format:   FleetBundleFormat,
-		Version:  FleetBundleVersion,
-		Checksum: hex.EncodeToString(sum[:]),
-		Payload:  raw,
-	})
+	return bundleEnvelope.seal(payload)
 }
 
 // DecodeBundle validates a fleet bundle (format, version, payload checksum,
@@ -103,25 +84,15 @@ func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 // serve process must not come up answering one machine correctly and
 // another from corrupt state.
 func DecodeBundle(data []byte) ([]FleetEntry, BundleMeta, error) {
-	var b fleetBundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet bundle: %w", err)
-	}
-	if b.Format != FleetBundleFormat {
-		return nil, BundleMeta{}, fmt.Errorf("guide: bundle format %q, want %q", b.Format, FleetBundleFormat)
-	}
-	if b.Version != FleetBundleVersion {
-		return nil, BundleMeta{}, fmt.Errorf("guide: fleet bundle version %d not supported (reader handles %d)",
-			b.Version, FleetBundleVersion)
-	}
-	sum := sha256.Sum256(b.Payload)
-	if got := hex.EncodeToString(sum[:]); got != b.Checksum {
-		return nil, BundleMeta{}, fmt.Errorf("guide: fleet bundle checksum mismatch (corrupt bundle?)")
-	}
 	var payload fleetPayload
-	if err := json.Unmarshal(b.Payload, &payload); err != nil {
-		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet payload: %w", err)
+	if err := bundleEnvelope.decode(data, &payload); err != nil {
+		return nil, BundleMeta{}, err
 	}
+	return payload.fleet()
+}
+
+// fleet rebuilds the advisors an opened bundle payload holds.
+func (payload *fleetPayload) fleet() ([]FleetEntry, BundleMeta, error) {
 	if payload.AdvisorFormat != AdvisorArtifactFormat || payload.AdvisorVersion != AdvisorArtifactVersion {
 		return nil, BundleMeta{}, fmt.Errorf("guide: bundle declares nested artifacts %q v%d (reader handles %q v%d)",
 			payload.AdvisorFormat, payload.AdvisorVersion, AdvisorArtifactFormat, AdvisorArtifactVersion)
@@ -161,37 +132,38 @@ func SaveBundle(path string, entries []FleetEntry, meta BundleMeta) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// LoadBundle reads a fleet bundle from a file.
-func LoadBundle(path string) ([]FleetEntry, BundleMeta, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, BundleMeta{}, err
-	}
-	return DecodeBundle(data)
-}
-
 // DecodeFleet accepts either artifact generation: a fleet bundle decodes to
 // its entries, and a single-advisor artifact (the PR 3 format every
 // pre-fleet `parcost train` emitted) decodes to a one-entry fleet named by
 // its recorded machine. This is what keeps existing artifacts loading
 // unchanged behind the Router.
 func DecodeFleet(data []byte) ([]FleetEntry, BundleMeta, error) {
-	format, err := sniffArtifactFormat(data)
-	if err != nil {
-		return nil, BundleMeta{}, err
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, BundleMeta{}, fmt.Errorf("guide: malformed artifact: %w", err)
 	}
-	switch format {
+	switch env.Format {
 	case FleetBundleFormat:
-		return DecodeBundle(data)
+		var payload fleetPayload
+		if err := bundleEnvelope.open(&env, &payload); err != nil {
+			return nil, BundleMeta{}, err
+		}
+		return payload.fleet()
 	case AdvisorArtifactFormat:
-		adv, machineName, err := DecodeAdvisor(data)
+		var payload advisorPayload
+		if err := advisorEnvelope.open(&env, &payload); err != nil {
+			return nil, BundleMeta{}, err
+		}
+		adv, machineName, err := payload.advisor()
 		if err != nil {
 			return nil, BundleMeta{}, err
 		}
 		return []FleetEntry{{Machine: machineName, Advisor: adv}}, BundleMeta{}, nil
+	case "":
+		return nil, BundleMeta{}, fmt.Errorf("guide: artifact has no format tag")
 	default:
 		return nil, BundleMeta{}, fmt.Errorf("guide: artifact format %q is neither %q nor %q",
-			format, FleetBundleFormat, AdvisorArtifactFormat)
+			env.Format, FleetBundleFormat, AdvisorArtifactFormat)
 	}
 }
 

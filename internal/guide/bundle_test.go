@@ -39,7 +39,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err := SaveBundle(path, entries, meta); err != nil {
 		t.Fatal(err)
 	}
-	loaded, gotMeta, err := LoadBundle(path)
+	loaded, gotMeta, err := LoadFleet(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestLoadFleetSingleAdvisorArtifact(t *testing.T) {
 // per-entry integrity check from the whole-payload one.
 func corruptOneEntry(t *testing.T, data []byte, machineName string) []byte {
 	t.Helper()
-	var b fleetBundle
+	var b envelope
 	if err := json.Unmarshal(data, &b); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func corruptOneEntry(t *testing.T, data []byte, machineName string) []byte {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(raw)
-	out, err := json.Marshal(fleetBundle{
+	out, err := json.Marshal(envelope{
 		Format: b.Format, Version: b.Version,
 		Checksum: hex.EncodeToString(sum[:]), Payload: raw,
 	})
@@ -212,24 +212,24 @@ func TestBundleRejections(t *testing.T) {
 	}
 
 	// Envelope-level rejections.
-	for name, mutate := range map[string]func(*fleetBundle, *fleetPayload){
-		"wrong format":   func(b *fleetBundle, p *fleetPayload) { b.Format = "parcost-advisor" },
-		"future version": func(b *fleetBundle, p *fleetPayload) { b.Version = 99 },
-		"nested format": func(b *fleetBundle, p *fleetPayload) {
+	for name, mutate := range map[string]func(*envelope, *fleetPayload){
+		"wrong format":   func(b *envelope, p *fleetPayload) { b.Format = "parcost-advisor" },
+		"future version": func(b *envelope, p *fleetPayload) { b.Version = 99 },
+		"nested format": func(b *envelope, p *fleetPayload) {
 			p.AdvisorFormat = "parcost-other"
 		},
-		"nested version": func(b *fleetBundle, p *fleetPayload) {
+		"nested version": func(b *envelope, p *fleetPayload) {
 			p.AdvisorVersion = 99
 		},
-		"no entries": func(b *fleetBundle, p *fleetPayload) { p.Entries = nil },
-		"duplicate machine": func(b *fleetBundle, p *fleetPayload) {
+		"no entries": func(b *envelope, p *fleetPayload) { p.Entries = nil },
+		"duplicate machine": func(b *envelope, p *fleetPayload) {
 			p.Entries = append(p.Entries, p.Entries[0])
 		},
-		"mismatched machine": func(b *fleetBundle, p *fleetPayload) {
+		"mismatched machine": func(b *envelope, p *fleetPayload) {
 			p.Entries[0].Machine = "frontier-two"
 		},
 	} {
-		var b fleetBundle
+		var b envelope
 		if err := json.Unmarshal(data, &b); err != nil {
 			t.Fatal(err)
 		}

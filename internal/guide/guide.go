@@ -35,7 +35,7 @@
 //     startup.
 //   - Artifacts: Save/LoadAdvisor write one fitted advisor (model +
 //     candidate grid + machine provenance) under a whole-payload checksum;
-//     Save/LoadBundle pack N named advisors plus shared metadata into one
+//     SaveBundle packs N named advisors plus shared metadata into one
 //     parcost-fleet envelope; LoadFleet accepts either generation, loading
 //     a single-advisor artifact as a one-entry fleet.
 package guide

@@ -283,7 +283,7 @@ type GradientBoosting struct {
 
 	// Staged-CV streaming mode (see FitStaged): afterRound observes each
 	// round's tree before the next round starts, and discard drops trees
-	// instead of retaining them, letting rounds recycle one node arena.
+	// instead of retaining them.
 	afterRound func(m int, tr *tree.Tree)
 	discard    bool
 
@@ -419,23 +419,24 @@ func (g *GradientBoosting) fitHist(x [][]float64, y []float64, params tree.Param
 	// full-sample path caches leaf assignments into it, the subsample path
 	// predicts into it.
 	trainBuf := make([]float64, n)
-	// In discard mode every round's tree dies before the next begins, so
-	// all rounds can carve their nodes from one recycled arena.
-	var arena *tree.NodeArena
-	if g.discard {
-		arena = tree.NewNodeArena()
-	}
+	var tr *tree.Tree
+	var trRNG *rng.Source
 	for m := 0; m < g.NumTrees; m++ {
 		parRange(workers, len(residual), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				residual[i] = y[i] - pred[i] // negative gradient of ½(y−f)²
 			}
 		})
-		tr := tree.New(params, r.Split())
-		tr.ShareHistPool(pool)
-		tr.SetParallel(par)
-		if arena != nil {
-			tr.ShareNodeArena(arena)
+		if g.discard && tr != nil {
+			// The previous round's tree is dead in discard mode: refit it,
+			// reusing its node storage. Reseeding its generator in place
+			// gives it the draws a fresh tree would get.
+			*trRNG = *r.Split()
+		} else {
+			trRNG = r.Split()
+			tr = tree.New(params, trRNG)
+			tr.ShareHistPool(pool)
+			tr.SetParallel(par)
 		}
 		var step []float64
 		if sub < 1.0 {

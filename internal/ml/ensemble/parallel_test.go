@@ -10,8 +10,8 @@ import (
 	"parcost/internal/rng"
 )
 
-// snapshotTrees flattens every member tree to its snapshot byte form (the
-// preorder node arrays of tree/snapshot.go), the strongest available
+// treeSnaps returns every member tree's snapshot bytes (the node arrays of
+// tree/snapshot.go), the strongest available
 // equality: two ensembles with equal snapshots grew identical trees node
 // for node, bit for bit.
 func treeSnaps(t *testing.T, trees []*tree.Tree) [][]byte {

@@ -21,28 +21,32 @@ func init() {
 	ml.RegisterSnapshot(AdaBoostSnapshotKind, func() ml.Snapshotter { return &AdaBoost{} })
 }
 
-// snapshotTrees serializes each fitted member tree's state.
-func snapshotTrees(trees []*tree.Tree) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, len(trees))
+// memberStates returns each fitted member tree's state.
+func memberStates(trees []*tree.Tree) ([]tree.State, error) {
+	out := make([]tree.State, len(trees))
 	for i, tr := range trees {
 		if tr == nil {
 			return nil, fmt.Errorf("member tree %d is not fitted", i)
 		}
-		data, err := tr.SnapshotState()
+		st, err := tr.State()
 		if err != nil {
 			return nil, fmt.Errorf("member tree %d: %w", i, err)
 		}
-		out[i] = data
+		out[i] = st
 	}
 	return out, nil
 }
 
-// restoreTrees rebuilds member trees from their serialized states.
-func restoreTrees(states []json.RawMessage) ([]*tree.Tree, error) {
+// memberTrees validates member states — each on its own, and all over the
+// same features — and rebuilds the trees.
+func memberTrees(states []tree.State) ([]*tree.Tree, error) {
 	out := make([]*tree.Tree, len(states))
-	for i, raw := range states {
-		tr := &tree.Tree{}
-		if err := tr.RestoreState(raw); err != nil {
+	for i := range states {
+		if states[i].Dim != states[0].Dim {
+			return nil, fmt.Errorf("member tree %d has dim %d, member 0 has %d", i, states[i].Dim, states[0].Dim)
+		}
+		tr, err := tree.FromState(&states[i])
+		if err != nil {
 			return nil, fmt.Errorf("member tree %d: %w", i, err)
 		}
 		out[i] = tr
@@ -52,13 +56,13 @@ func restoreTrees(states []json.RawMessage) ([]*tree.Tree, error) {
 
 // gbState is the serialized fitted state of a GradientBoosting ensemble.
 type gbState struct {
-	NumTrees     int               `json:"num_trees"`
-	LearningRate float64           `json:"learning_rate"`
-	Params       tree.Params       `json:"params"`
-	Subsample    float64           `json:"subsample"`
-	Seed         uint64            `json:"seed"`
-	Init         float64           `json:"init"`
-	Trees        []json.RawMessage `json:"trees"`
+	NumTrees     int          `json:"num_trees"`
+	LearningRate float64      `json:"learning_rate"`
+	Params       tree.Params  `json:"params"`
+	Subsample    float64      `json:"subsample"`
+	Seed         uint64       `json:"seed"`
+	Init         float64      `json:"init"`
+	Trees        []tree.State `json:"trees"`
 }
 
 // SnapshotKind returns the artifact kind identifier.
@@ -69,7 +73,7 @@ func (g *GradientBoosting) SnapshotState() ([]byte, error) {
 	if g.trees == nil {
 		return nil, fmt.Errorf("ensemble: GradientBoosting snapshot before Fit")
 	}
-	trees, err := snapshotTrees(g.trees)
+	trees, err := memberStates(g.trees)
 	if err != nil {
 		return nil, fmt.Errorf("ensemble: GB snapshot: %w", err)
 	}
@@ -88,7 +92,7 @@ func (g *GradientBoosting) RestoreState(data []byte) error {
 	if len(st.Trees) == 0 {
 		return fmt.Errorf("ensemble: GB state has no trees")
 	}
-	trees, err := restoreTrees(st.Trees)
+	trees, err := memberTrees(st.Trees)
 	if err != nil {
 		return fmt.Errorf("ensemble: GB restore: %w", err)
 	}
@@ -101,12 +105,12 @@ func (g *GradientBoosting) RestoreState(data []byte) error {
 
 // rfState is the serialized fitted state of a RandomForest.
 type rfState struct {
-	NumTrees      int               `json:"num_trees"`
-	Params        tree.Params       `json:"params"`
-	Seed          uint64            `json:"seed"`
-	BootstrapFrac float64           `json:"bootstrap_frac"`
-	Name          string            `json:"name"`
-	Trees         []json.RawMessage `json:"trees"`
+	NumTrees      int          `json:"num_trees"`
+	Params        tree.Params  `json:"params"`
+	Seed          uint64       `json:"seed"`
+	BootstrapFrac float64      `json:"bootstrap_frac"`
+	Name          string       `json:"name"`
+	Trees         []tree.State `json:"trees"`
 }
 
 // SnapshotKind returns the artifact kind identifier.
@@ -117,7 +121,7 @@ func (f *RandomForest) SnapshotState() ([]byte, error) {
 	if f.trees == nil {
 		return nil, fmt.Errorf("ensemble: RandomForest snapshot before Fit")
 	}
-	trees, err := snapshotTrees(f.trees)
+	trees, err := memberStates(f.trees)
 	if err != nil {
 		return nil, fmt.Errorf("ensemble: RF snapshot: %w", err)
 	}
@@ -136,7 +140,7 @@ func (f *RandomForest) RestoreState(data []byte) error {
 	if len(st.Trees) == 0 {
 		return fmt.Errorf("ensemble: RF state has no trees")
 	}
-	trees, err := restoreTrees(st.Trees)
+	trees, err := memberTrees(st.Trees)
 	if err != nil {
 		return fmt.Errorf("ensemble: RF restore: %w", err)
 	}
@@ -151,12 +155,12 @@ func (f *RandomForest) RestoreState(data []byte) error {
 
 // abState is the serialized fitted state of an AdaBoost.R2 ensemble.
 type abState struct {
-	NumTrees int               `json:"num_trees"`
-	Params   tree.Params       `json:"params"`
-	Seed     uint64            `json:"seed"`
-	Loss     LossKind          `json:"loss"`
-	Betas    []float64         `json:"betas"`
-	Trees    []json.RawMessage `json:"trees"`
+	NumTrees int          `json:"num_trees"`
+	Params   tree.Params  `json:"params"`
+	Seed     uint64       `json:"seed"`
+	Loss     LossKind     `json:"loss"`
+	Betas    []float64    `json:"betas"`
+	Trees    []tree.State `json:"trees"`
 }
 
 // SnapshotKind returns the artifact kind identifier.
@@ -167,7 +171,7 @@ func (a *AdaBoost) SnapshotState() ([]byte, error) {
 	if !a.fitted {
 		return nil, fmt.Errorf("ensemble: AdaBoost snapshot before Fit")
 	}
-	trees, err := snapshotTrees(a.trees)
+	trees, err := memberStates(a.trees)
 	if err != nil {
 		return nil, fmt.Errorf("ensemble: AB snapshot: %w", err)
 	}
@@ -186,7 +190,7 @@ func (a *AdaBoost) RestoreState(data []byte) error {
 	if len(st.Trees) == 0 || len(st.Betas) != len(st.Trees) {
 		return fmt.Errorf("ensemble: AB state has %d trees but %d vote weights", len(st.Trees), len(st.Betas))
 	}
-	trees, err := restoreTrees(st.Trees)
+	trees, err := memberTrees(st.Trees)
 	if err != nil {
 		return fmt.Errorf("ensemble: AB restore: %w", err)
 	}

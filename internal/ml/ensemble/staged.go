@@ -34,11 +34,10 @@ func checkStages(stages []int, size int) error {
 // FitStaged trains the booster at NumTrees (the last stage) and emits eval
 // predictions for each prefix stage. Prediction accumulation follows
 // Predict's exact order — init plus lr-scaled tree steps in index order —
-// but streams: each round's tree is scored against eval and then discarded,
-// so the whole run recycles one node arena instead of retaining hundreds of
-// slabs. The model is therefore NOT usable for further prediction after
-// FitStaged; it exists to score the stages (the CV engine refits the chosen
-// candidate from scratch).
+// but streams: each round's tree is scored against eval and then discarded
+// instead of retained. The model is therefore NOT usable for further
+// prediction after FitStaged; it exists to score the stages (the CV engine
+// refits the chosen candidate from scratch).
 func (g *GradientBoosting) FitStaged(x [][]float64, y []float64, eval [][]float64, stages []int, emit func(stageIdx int, pred []float64)) error {
 	if err := checkStages(stages, g.NumTrees); err != nil {
 		return err

@@ -85,7 +85,7 @@ func TestFitStagedValidatesStages(t *testing.T) {
 }
 
 // TestSharedHistPoolKeepsFitsIdentical fits the same booster with and
-// without buffer/arena sharing wired through a prior fit, ensuring the
+// without buffer sharing wired through a prior fit, ensuring the
 // recycled scratch never leaks state between trees.
 func TestSharedHistPoolKeepsFitsIdentical(t *testing.T) {
 	r := rng.New(33)

@@ -1,7 +1,10 @@
 package ml_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -213,11 +216,58 @@ func TestDecodeModelRejectsCorruptArtifacts(t *testing.T) {
 			a.Checksum = strings.Repeat("0", 64)
 		}),
 	}
+	// Checksum-valid tree states whose splits would index past a served row
+	// of the declared width. The controls below show the same shapes decode
+	// when the widths are consistent.
+	for name, data := range map[string][]byte{
+		"tree with dim 0 splitting on feature 7": sealState(t, tree.TreeSnapshotKind, treeStateJSON(0)),
+		"gb members disagreeing on dim":          sealState(t, ensemble.GradientBoostingSnapshotKind, gbStateJSON(8, 9)),
+	} {
+		cases[name] = data
+	}
+	for name, data := range map[string][]byte{
+		"tree": sealState(t, tree.TreeSnapshotKind, treeStateJSON(8)),
+		"gb":   sealState(t, ensemble.GradientBoostingSnapshotKind, gbStateJSON(8, 8)),
+	} {
+		m, err := ml.DecodeModel(data)
+		if err != nil {
+			t.Fatalf("control %s state failed to decode: %v", name, err)
+		}
+		m.Predict([][]float64{make([]float64, 8)})
+	}
 	for name, data := range cases {
 		if _, err := ml.DecodeModel(data); err == nil {
 			t.Errorf("%s: expected decode error, got none", name)
 		}
 	}
+}
+
+// treeStateJSON is a three-node tree state of the given width whose root
+// splits on feature 7.
+func treeStateJSON(dim int) string {
+	gains := strings.TrimSuffix(strings.Repeat("0,", dim), ",")
+	return fmt.Sprintf(`{"dim":%d,"depth":1,"gains":[%s],"leaf":[false,true,true],"value":[0,1,2],`+
+		`"feature":[7,0,0],"threshold":[0.5,0,0],"left":[1,-1,-1],"right":[2,-1,-1],"samples":[2,1,1]}`, dim, gains)
+}
+
+// gbStateJSON is a two-member boosting state with the given member widths.
+func gbStateJSON(dimA, dimB int) string {
+	return fmt.Sprintf(`{"num_trees":2,"learning_rate":0.1,"init":1,"trees":[%s,%s]}`,
+		treeStateJSON(dimA), treeStateJSON(dimB))
+}
+
+// sealState wraps raw state JSON in a checksum-valid artifact envelope.
+func sealState(t *testing.T, kind, state string) []byte {
+	t.Helper()
+	sum := sha256.Sum256([]byte(state))
+	out, err := json.Marshal(ml.Artifact{
+		Format: ml.ArtifactFormat, Version: ml.ArtifactVersion, Kind: kind,
+		Checksum: hex.EncodeToString(sum[:]), State: json.RawMessage(state),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestDecodeModelRejectsMismatchedState: a checksum-valid envelope whose

@@ -235,9 +235,10 @@ func TestSplitterAutoSelectsBySize(t *testing.T) {
 }
 
 // TestHistFitAllocationRegression pins the allocation count of a single
-// histogram-engine tree fit against a pre-built BinnedMatrix. Slab-allocated
-// nodes, pooled histograms, and in-place partitioning keep the count to a
-// few dozen regardless of sample count; the exact engine needs thousands.
+// histogram-engine tree fit against a pre-built BinnedMatrix. Node arrays
+// reused across refits, pooled histograms, and in-place partitioning keep the
+// count to a few dozen regardless of sample count; the exact engine needs
+// thousands.
 func TestHistFitAllocationRegression(t *testing.T) {
 	r := rng.New(3)
 	x, y := stepData(r, 2000)
@@ -252,7 +253,7 @@ func TestHistFitAllocationRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Budget: node slabs (~nodes/256), ~depth histogram buffers, gains,
+	// Budget: node arrays (kept across refits), ~depth histogram buffers, gains,
 	// trainPred, builder bookkeeping — comfortably under 64 with headroom
 	// against noise, three orders of magnitude below the exact engine.
 	if allocs > 64 {

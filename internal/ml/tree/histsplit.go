@@ -11,7 +11,7 @@ package tree
 //     reuses the parent's buffer with the sibling subtracted in place;
 //   - in-place sample-index partitioning over one shared rows slice, instead
 //     of append-grown left/right index slices per node;
-//   - slab allocation of nodes and a free-list pool of histogram buffers;
+//   - a free-list pool of histogram buffers;
 //   - occupied-bin lists: every histogram tracks which bins it actually
 //     touched, so deep nodes with a handful of samples scan, subtract, and
 //     clear O(samples) bins instead of O(256) — empty bins can never win a
@@ -45,60 +45,6 @@ func (s histSums) sse() float64 {
 		return 0
 	}
 	return s.wy2 - s.wy*s.wy/s.w
-}
-
-// nodeArena slab-allocates nodes so a typical tree fit costs one node
-// allocation. Full slabs stay reachable through node pointers. The first
-// chunk is sized from the tree's node-count bound (set by reset), so deep
-// trees don't leave a third of every slab as garbage-collector ballast.
-// Reused arenas (see NodeArena) rewind their current slab instead, so the
-// next fit overwrites the previous fit's nodes allocation-free.
-type nodeArena struct {
-	chunk []node
-	next  int // capacity of the next chunk
-}
-
-const arenaMaxChunk = 4096
-
-// reset prepares the arena for a fresh fit of a tree grown over n samples
-// to maxDepth: an already-allocated slab rewinds in place (invalidating the
-// previous fit's nodes), and the next chunk capacity is capped at the tree's
-// node-count bound — a binary tree has ≤ 2·leaves−1 nodes, leaves bounded
-// by samples and by 2^depth.
-func (a *nodeArena) reset(n, maxDepth int) {
-	a.chunk = a.chunk[:0]
-	bound := 2*n - 1
-	if maxDepth > 0 && maxDepth < 31 {
-		if d := 1<<(maxDepth+1) - 1; d < bound {
-			bound = d
-		}
-	}
-	if bound < 1 {
-		bound = 1
-	}
-	if bound > arenaMaxChunk {
-		bound = arenaMaxChunk
-	}
-	if bound > cap(a.chunk) {
-		a.next = bound
-	} else {
-		a.next = cap(a.chunk)
-	}
-}
-
-func (a *nodeArena) alloc() *node {
-	if len(a.chunk) == cap(a.chunk) {
-		if a.next < 1 {
-			a.next = 64
-		}
-		a.chunk = make([]node, 0, a.next)
-		a.next *= 2 // bound was wrong only for uncapped trees; grow geometrically
-		if a.next > arenaMaxChunk {
-			a.next = arenaMaxChunk
-		}
-	}
-	a.chunk = append(a.chunk, node{})
-	return &a.chunk[len(a.chunk)-1]
 }
 
 // histBuf is one pooled histogram buffer plus, per feature, the list of bin
@@ -151,7 +97,6 @@ type histBuilder struct {
 	y, w   []float64 // indexed by BinnedMatrix row id; w nil = uniform
 	stride int       // histogram entries per feature (histStride)
 	pool   *HistPool
-	arena  *nodeArena
 	useSub bool       // all features at every node → subtraction trick applies
 	feats  []int      // feature universe when useSub
 	par    *Parallel  // within-fit execution policy; nil = serial
@@ -547,27 +492,28 @@ func partitionRows(rows []int, codes []uint8, bin uint8) int {
 	return i
 }
 
-// build grows a subtree over rows. In useSub mode hist holds this node's
-// already-accumulated histogram (owned by the caller); otherwise hist is nil
-// and the node accumulates one for its sampled features on demand.
-func (hb *histBuilder) build(rows []int, hist *histBuf, sums histSums, depth int) *node {
+// build grows a subtree over rows and returns its root index. In useSub mode
+// hist holds this node's already-accumulated histogram (owned by the
+// caller); otherwise hist is nil and the node accumulates one for its
+// sampled features on demand. Nodes are appended in build order — a node,
+// then its smaller child's subtree, then its larger child's — so every child
+// follows its parent.
+func (hb *histBuilder) build(rows []int, hist *histBuf, sums histSums, depth int) int {
 	t := hb.t
 	if depth > t.depth {
 		t.depth = depth
 	}
-	t.nodes++
-	n := hb.arena.alloc()
-	n.leaf = true
-	n.samples = len(rows)
+	var value float64
 	if sums.w > 0 {
-		n.value = sums.wy / sums.w
+		value = sums.wy / sums.w
 	}
+	id := t.nodes.add(value, len(rows))
 
 	// Stopping conditions — identical to the exact engine's, so both produce
 	// the same pre-pruning behavior.
 	if hb.stops(rows, depth) {
-		hb.recordLeaf(rows, n.value)
-		return n
+		hb.recordLeaf(rows, value)
+		return id
 	}
 
 	feats := hb.feats
@@ -582,8 +528,8 @@ func (hb *histBuilder) build(rows []int, hist *histBuf, sums histSums, depth int
 		// Whether owned or inherited from the parent, the buffer's journey
 		// ends here; return it so the pool stays complete across trees.
 		hb.putHist(hist)
-		hb.recordLeaf(rows, n.value)
-		return n
+		hb.recordLeaf(rows, value)
+		return id
 	}
 
 	lSums := hb.leftSums(hist, feat, bin)
@@ -594,13 +540,11 @@ func (hb *histBuilder) build(rows []int, hist *histBuf, sums histSums, depth int
 		// Same pre-pruning as the exact engine: a winning split that starves
 		// a child turns the node into a leaf.
 		hb.putHist(hist)
-		hb.recordLeaf(rows, n.value)
-		return n
+		hb.recordLeaf(rows, value)
+		return id
 	}
 
-	n.leaf = false
-	n.feature = feat
-	n.threshold = hb.nodeThreshold(hist, feat, bin)
+	threshold := hb.nodeThreshold(hist, feat, bin)
 	t.gains[feat] += gain
 
 	if !hb.useSub || ownHist {
@@ -609,9 +553,10 @@ func (hb *histBuilder) build(rows []int, hist *histBuf, sums histSums, depth int
 		if ownHist {
 			hb.putHist(hist)
 		}
-		n.left = hb.build(left, nil, lSums, depth+1)
-		n.right = hb.build(right, nil, rSums, depth+1)
-		return n
+		l := hb.build(left, nil, lSums, depth+1)
+		r := hb.build(right, nil, rSums, depth+1)
+		t.nodes.split(id, feat, threshold, l, r)
+		return id
 	}
 
 	// Subtraction trick: only the smaller child accumulates from samples; the
@@ -649,11 +594,11 @@ func (hb *histBuilder) build(rows []int, hist *histBuf, sums histSums, depth int
 	}
 	largeNode := hb.build(large, largeHist, largeSums, depth+1)
 	if len(left) <= len(right) {
-		n.left, n.right = smallNode, largeNode
+		t.nodes.split(id, feat, threshold, smallNode, largeNode)
 	} else {
-		n.left, n.right = largeNode, smallNode
+		t.nodes.split(id, feat, threshold, largeNode, smallNode)
 	}
-	return n
+	return id
 }
 
 // stops reports whether a node over the given rows at the given depth

@@ -26,7 +26,7 @@ func wideData(r *rng.Source, n, d int) ([][]float64, []float64) {
 }
 
 // fitSnapshot grows one histogram tree under the given policy and returns
-// the flattened node-array snapshot plus training-matrix predictions.
+// the node-array snapshot plus training-matrix predictions.
 func fitSnapshot(t *testing.T, bm *BinnedMatrix, x [][]float64, y, w []float64, p Params, par *Parallel) ([]byte, []float64) {
 	t.Helper()
 	rows := make([]int, len(x))
@@ -47,7 +47,7 @@ func fitSnapshot(t *testing.T, bm *BinnedMatrix, x [][]float64, y, w []float64, 
 
 // TestHistParallelBitIdentical is the tentpole contract: every parallel
 // execution mode — feature fan-out, wide-node row sharding, both, auto —
-// must reproduce the serial reference fit bit for bit (flattened node
+// must reproduce the serial reference fit bit for bit (node
 // arrays AND predictions) at GOMAXPROCS 1, 2, 4, and 8. The data is wide
 // enough (rows ≥ 2×rowShardSize, features ≥ minFeatureParFeats) that every
 // parallel path is genuinely live at the root.

@@ -14,117 +14,81 @@ func init() {
 	ml.RegisterSnapshot(TreeSnapshotKind, func() ml.Snapshotter { return &Tree{} })
 }
 
-// treeState flattens the node structure into parallel arrays in preorder:
-// entry 0 is the root, and Left/Right hold child indices (-1 for leaves).
-// The layout is engine-agnostic — histogram- and exact-grown trees both
-// predict from plain float thresholds, so that is all an artifact stores.
-type treeState struct {
-	Params    Params    `json:"params"`
-	Dim       int       `json:"dim"`
-	Depth     int       `json:"depth"`
-	Gains     []float64 `json:"gains"`
-	Leaf      []bool    `json:"leaf"`
-	Value     []float64 `json:"value"`
-	Feature   []int     `json:"feature"`
-	Threshold []float64 `json:"threshold"`
-	Left      []int     `json:"left"`
-	Right     []int     `json:"right"`
-	Samples   []int     `json:"samples"`
+// State is a fitted tree's artifact form. Its node arrays are the tree's
+// in-memory form too: entry 0 is the root, Left/Right hold child indices
+// (-1 for leaves), and every child comes after its parent. Exact-engine
+// trees lay their nodes out in left-first preorder, histogram-engine trees
+// in build order (smaller child first). The layout is engine-agnostic —
+// both predict from plain float thresholds, so that is all a state stores.
+// Ensembles nest member states directly in their own.
+type State struct {
+	Params Params    `json:"params"`
+	Dim    int       `json:"dim"`
+	Depth  int       `json:"depth"`
+	Gains  []float64 `json:"gains"`
+	nodeArrays
+}
+
+// State returns the fitted tree's state. It shares the tree's arrays.
+func (t *Tree) State() (State, error) {
+	if len(t.nodes.Leaf) == 0 {
+		return State{}, fmt.Errorf("tree: snapshot before Fit")
+	}
+	return State{Params: t.Params, Dim: t.dim, Depth: t.depth, Gains: t.gains, nodeArrays: t.nodes}, nil
+}
+
+// FromState validates st and returns the fitted tree it describes. The
+// tree takes ownership of st's arrays.
+func FromState(st *State) (*Tree, error) {
+	n := len(st.Leaf)
+	if n == 0 {
+		return nil, fmt.Errorf("tree: state has no nodes")
+	}
+	if len(st.Value) != n || len(st.Feature) != n || len(st.Threshold) != n ||
+		len(st.Left) != n || len(st.Right) != n || len(st.Samples) != n {
+		return nil, fmt.Errorf("tree: inconsistent node-array lengths in state")
+	}
+	if st.Dim < 1 || len(st.Gains) != st.Dim {
+		return nil, fmt.Errorf("tree: state has dim %d and %d feature gains", st.Dim, len(st.Gains))
+	}
+	for i := 0; i < n; i++ {
+		if st.Leaf[i] {
+			continue
+		}
+		l, r := st.Left[i], st.Right[i]
+		if l <= i || l >= n || r <= i || r >= n {
+			return nil, fmt.Errorf("tree: node %d has out-of-range children (%d, %d)", i, l, r)
+		}
+		if st.Feature[i] < 0 || st.Feature[i] >= st.Dim {
+			return nil, fmt.Errorf("tree: node %d splits on feature %d of %d", i, st.Feature[i], st.Dim)
+		}
+	}
+	return &Tree{Params: st.Params, nodes: st.nodeArrays, dim: st.Dim, depth: st.Depth, gains: st.Gains}, nil
 }
 
 // SnapshotKind returns the artifact kind identifier.
 func (t *Tree) SnapshotKind() string { return TreeSnapshotKind }
 
-// SnapshotState serializes the fitted tree structure.
+// SnapshotState serializes the fitted tree's state.
 func (t *Tree) SnapshotState() ([]byte, error) {
-	if t.root == nil {
-		return nil, fmt.Errorf("tree: snapshot before Fit")
-	}
-	st, err := t.flatState()
+	st, err := t.State()
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(st)
-}
-
-// flatState builds the flattened node arrays without the JSON encode, so
-// ensembles can nest member-tree states cheaply.
-func (t *Tree) flatState() (*treeState, error) {
-	st := &treeState{Params: t.Params, Dim: t.dim, Depth: t.depth, Gains: t.gains}
-	var flatten func(n *node) int
-	flatten = func(n *node) int {
-		id := len(st.Leaf)
-		st.Leaf = append(st.Leaf, n.leaf)
-		st.Value = append(st.Value, n.value)
-		st.Feature = append(st.Feature, n.feature)
-		st.Threshold = append(st.Threshold, n.threshold)
-		st.Samples = append(st.Samples, n.samples)
-		st.Left = append(st.Left, -1)
-		st.Right = append(st.Right, -1)
-		if !n.leaf {
-			st.Left[id] = flatten(n.left)
-			st.Right[id] = flatten(n.right)
-		}
-		return id
-	}
-	flatten(t.root)
-	return st, nil
+	return json.Marshal(&st)
 }
 
 // RestoreState rebuilds the fitted tree from SnapshotState bytes.
 func (t *Tree) RestoreState(data []byte) error {
-	var st treeState
+	var st State
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	return t.restoreFlat(&st)
-}
-
-// restoreFlat materializes the node structure from a flattened state.
-func (t *Tree) restoreFlat(st *treeState) error {
-	n := len(st.Leaf)
-	if n == 0 {
-		return fmt.Errorf("tree: state has no nodes")
+	restored, err := FromState(&st)
+	if err != nil {
+		return err
 	}
-	if len(st.Value) != n || len(st.Feature) != n || len(st.Threshold) != n ||
-		len(st.Left) != n || len(st.Right) != n || len(st.Samples) != n {
-		return fmt.Errorf("tree: inconsistent node-array lengths in state")
-	}
-	nodes := make([]node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = node{
-			leaf:      st.Leaf[i],
-			value:     st.Value[i],
-			feature:   st.Feature[i],
-			threshold: st.Threshold[i],
-			samples:   st.Samples[i],
-		}
-		if nodes[i].leaf {
-			continue
-		}
-		l, r := st.Left[i], st.Right[i]
-		if l <= i || l >= n || r <= i || r >= n {
-			return fmt.Errorf("tree: node %d has out-of-range children (%d, %d)", i, l, r)
-		}
-		if st.Feature[i] < 0 || (st.Dim > 0 && st.Feature[i] >= st.Dim) {
-			return fmt.Errorf("tree: node %d splits on feature %d of %d", i, st.Feature[i], st.Dim)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !nodes[i].leaf {
-			nodes[i].left = &nodes[st.Left[i]]
-			nodes[i].right = &nodes[st.Right[i]]
-		}
-	}
-	t.Params = st.Params
-	t.dim = st.Dim
-	t.depth = st.Depth
-	t.gains = st.Gains
-	t.root = &nodes[0]
-	t.nodes = n
-	t.rng = nil
-	t.cacheTrain, t.trainPred = false, nil
-	t.histPool, t.nodeSlab = nil, nil
+	*t = *restored
 	return nil
 }
 

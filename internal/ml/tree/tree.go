@@ -11,15 +11,19 @@
 //   - SplitterHist quantile-bins every feature into ≤ 256 codes once (see
 //     BinnedMatrix) and finds splits by scanning per-bin statistics, the
 //     LightGBM/XGBoost-hist approach: O(bins) per feature per node instead
-//     of O(n log n), with the parent-minus-sibling subtraction trick,
-//     in-place sample partitioning, and slab-allocated nodes. Ensembles
-//     share one BinnedMatrix across all member trees via FitBinned.
+//     of O(n log n), with the parent-minus-sibling subtraction trick and
+//     in-place sample partitioning. Ensembles share one BinnedMatrix
+//     across all member trees via FitBinned.
 //   - SplitterAuto (the default) picks the histogram engine for large
 //     training sets and the exact engine otherwise.
 //
 // Sample weights are supported by both engines so the same tree drives
 // AdaBoost. Fitted trees predict from ordinary float thresholds regardless
 // of the engine that grew them.
+//
+// A tree has one node form: flat parallel arrays (see State), which both
+// engines append to as they grow, Predict walks by index, and artifacts
+// store as they are.
 //
 // # Parallel discipline
 //
@@ -42,6 +46,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"parcost/internal/ml"
@@ -85,24 +90,68 @@ func DefaultParams() Params {
 	return Params{MaxDepth: 0, MinSamplesSplit: 2, MinSamplesLeaf: 1}
 }
 
-// node is a tree node: either an internal split or a leaf value.
-type node struct {
-	leaf      bool
-	value     float64 // leaf prediction
-	feature   int     // split feature
-	threshold float64 // split threshold (go left if x[feature] <= threshold)
-	left      *node
-	right     *node
-	samples   int
+// nodeArrays holds a tree's nodes as parallel arrays, one entry per node.
+// Entry 0 is the root. A split node i sends a row x to Left[i] when
+// x[Feature[i]] <= Threshold[i] and to Right[i] otherwise; every child sits
+// at a higher index than its parent, so a walk from the root always ends.
+// A leaf predicts Value[i] and holds Feature 0, Threshold 0 and children -1.
+// Samples counts the training rows that reached the node.
+type nodeArrays struct {
+	Leaf      []bool    `json:"leaf"`
+	Value     []float64 `json:"value"`
+	Feature   []int     `json:"feature"`
+	Threshold []float64 `json:"threshold"`
+	Left      []int     `json:"left"`
+	Right     []int     `json:"right"`
+	Samples   []int     `json:"samples"`
+}
+
+// reset empties the arrays for a fit over n samples to maxDepth, keeping
+// their storage and reserving room for the fit's node-count bound: a binary
+// tree has at most 2·leaves−1 nodes, with leaves bounded by n/minLeaf and by
+// 2^maxDepth.
+func (a *nodeArrays) reset(n, minLeaf, maxDepth int) {
+	bound := 2*(n/max(minLeaf, 1)) - 1
+	if maxDepth > 0 && maxDepth < 31 {
+		bound = min(bound, 1<<(maxDepth+1)-1)
+	}
+	bound = max(bound, 1)
+	a.Leaf = slices.Grow(a.Leaf[:0], bound)
+	a.Value = slices.Grow(a.Value[:0], bound)
+	a.Feature = slices.Grow(a.Feature[:0], bound)
+	a.Threshold = slices.Grow(a.Threshold[:0], bound)
+	a.Left = slices.Grow(a.Left[:0], bound)
+	a.Right = slices.Grow(a.Right[:0], bound)
+	a.Samples = slices.Grow(a.Samples[:0], bound)
+}
+
+// add appends a leaf and returns its index.
+func (a *nodeArrays) add(value float64, samples int) int {
+	a.Leaf = append(a.Leaf, true)
+	a.Value = append(a.Value, value)
+	a.Feature = append(a.Feature, 0)
+	a.Threshold = append(a.Threshold, 0)
+	a.Left = append(a.Left, -1)
+	a.Right = append(a.Right, -1)
+	a.Samples = append(a.Samples, samples)
+	return len(a.Leaf) - 1
+}
+
+// split turns leaf i into a split on feature ≤ threshold with the given
+// children.
+func (a *nodeArrays) split(i, feature int, threshold float64, left, right int) {
+	a.Leaf[i] = false
+	a.Feature[i] = feature
+	a.Threshold[i] = threshold
+	a.Left[i], a.Right[i] = left, right
 }
 
 // Tree is a fitted regression tree.
 type Tree struct {
 	Params Params
-	root   *node
+	nodes  nodeArrays
 	dim    int
 	rng    *rng.Source // for MaxFeatures subsampling
-	nodes  int
 	depth  int
 	gains  []float64 // accumulated variance-reduction per feature
 
@@ -116,37 +165,16 @@ type Tree struct {
 	// across fits (ensembles share one pool over all member trees).
 	histPool *HistPool
 
-	// nodeSlab, when set via ShareNodeArena, recycles node slab storage
-	// across fits of short-lived trees (staged cross-validation).
-	nodeSlab *NodeArena
-
 	// par, when set via SetParallel, lets histogram fits run within-node
 	// work (feature fan-out, wide-node shard builds) on goroutines. Results
 	// are bit-identical at any setting; see parallel.go.
 	par *Parallel
 }
 
-// NodeArena is reusable node slab storage for callers that fit many
-// short-lived trees, such as staged cross-validation: each fit overwrites
-// the previous fit's nodes in place instead of allocating fresh slabs.
-// Sharing an arena therefore INVALIDATES every earlier tree fitted through
-// it the moment a new fit starts — only loops that fully consume a tree
-// before growing the next may use one. Not safe for concurrent use.
-type NodeArena struct {
-	a nodeArena
-}
-
-// NewNodeArena returns an empty reusable node arena.
-func NewNodeArena() *NodeArena { return &NodeArena{} }
-
-// ShareNodeArena makes subsequent histogram fits carve their nodes from the
-// given arena. See NodeArena for the aliasing contract.
-func (t *Tree) ShareNodeArena(na *NodeArena) { t.nodeSlab = na }
-
 // ShareHistPool makes subsequent histogram fits draw their scratch buffers
 // from the given pool instead of allocating fresh ones. Ensembles that grow
 // many trees over one BinnedMatrix pass each member the same pool, reducing
-// per-tree allocation to the node slabs. The pool must not be shared across
+// per-tree allocation to the node arrays. The pool must not be shared across
 // goroutines.
 func (t *Tree) ShareHistPool(p *HistPool) { t.histPool = p }
 
@@ -217,11 +245,11 @@ func (t *Tree) FitWeighted(x [][]float64, y, w []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	t.nodes = 0
+	t.nodes.reset(len(idx), t.Params.MinSamplesLeaf, t.Params.MaxDepth)
 	t.depth = 0
 	t.gains = make([]float64, d)
 	t.trainPred = nil
-	t.root = t.build(x, y, w, idx, 0)
+	t.build(x, y, w, idx, 0)
 	return nil
 }
 
@@ -260,7 +288,7 @@ func (t *Tree) FitBinnedWeighted(bm *BinnedMatrix, y, w []float64, rows []int) e
 		return fmt.Errorf("tree: no training rows")
 	}
 	t.dim = bm.Dim()
-	t.nodes = 0
+	t.nodes.reset(len(rows), t.Params.MinSamplesLeaf, t.Params.MaxDepth)
 	t.depth = 0
 	t.gains = make([]float64, t.dim)
 	if !t.cacheTrain {
@@ -279,12 +307,6 @@ func (t *Tree) FitBinnedWeighted(bm *BinnedMatrix, y, w []float64, rows []int) e
 		useSub: t.Params.MaxFeatures <= 0 || t.Params.MaxFeatures >= t.dim,
 		par:    t.par,
 	}
-	if t.nodeSlab != nil {
-		hb.arena = &t.nodeSlab.a
-	} else {
-		hb.arena = new(nodeArena)
-	}
-	hb.arena.reset(len(rows), t.Params.MaxDepth)
 	sums := hb.rowSums(rows)
 	var hist *histBuf
 	if hb.useSub {
@@ -297,7 +319,7 @@ func (t *Tree) FitBinnedWeighted(bm *BinnedMatrix, y, w []float64, rows []int) e
 			hb.accumulate(hist, hb.feats, rows)
 		}
 	}
-	t.root = hb.build(rows, hist, sums, 0)
+	hb.build(rows, hist, sums, 0)
 	return nil
 }
 
@@ -334,27 +356,24 @@ func (t *Tree) TrainPredictions() []float64 { return t.trainPred }
 // member trees don't pin an n-sized slice each.
 func (t *Tree) DropTrainCache() { t.trainPred = nil }
 
-// build recursively constructs a subtree over the given sample indices.
-func (t *Tree) build(x [][]float64, y, w []float64, idx []int, depth int) *node {
+// build recursively constructs a subtree over the given sample indices,
+// appending its nodes in left-first preorder, and returns its root index.
+func (t *Tree) build(x [][]float64, y, w []float64, idx []int, depth int) int {
 	if depth > t.depth {
 		t.depth = depth
 	}
-	t.nodes++
-	n := &node{samples: len(idx)}
-	n.value = weightedMean(y, w, idx)
+	id := t.nodes.add(weightedMean(y, w, idx), len(idx))
 
 	// Stopping conditions.
 	if len(idx) < t.Params.MinSamplesSplit ||
 		(t.Params.MaxDepth > 0 && depth >= t.Params.MaxDepth) ||
 		constantTarget(y, idx) {
-		n.leaf = true
-		return n
+		return id
 	}
 
 	feat, thr, gain, ok := t.bestSplit(x, y, w, idx)
 	if !ok || gain < t.Params.MinImpurityDec {
-		n.leaf = true
-		return n
+		return id
 	}
 
 	// Partition idx in place around the threshold; the recursion owns idx,
@@ -370,17 +389,15 @@ func (t *Tree) build(x [][]float64, y, w []float64, idx []int, depth int) *node 
 	}
 	leftIdx, rightIdx := idx[:lo], idx[lo:]
 	if len(leftIdx) < t.Params.MinSamplesLeaf || len(rightIdx) < t.Params.MinSamplesLeaf {
-		n.leaf = true
-		return n
+		return id
 	}
-	n.feature = feat
-	n.threshold = thr
 	// Accumulate the total variance reduction attributable to this feature
 	// (the standard impurity-based feature-importance measure).
 	t.gains[feat] += gain
-	n.left = t.build(x, y, w, leftIdx, depth+1)
-	n.right = t.build(x, y, w, rightIdx, depth+1)
-	return n
+	left := t.build(x, y, w, leftIdx, depth+1)
+	right := t.build(x, y, w, rightIdx, depth+1)
+	t.nodes.split(id, feat, thr, left, right)
+	return id
 }
 
 // FeatureImportances returns the normalized impurity-based importance of
@@ -487,7 +504,7 @@ func (t *Tree) Predict(x [][]float64) []float64 {
 // len(x)). Ensemble loops that predict tree-by-tree pass one scratch buffer
 // so per-tree prediction costs no allocation.
 func (t *Tree) PredictInto(x [][]float64, dst []float64) {
-	if t.root == nil {
+	if len(t.nodes.Leaf) == 0 {
 		panic("tree: Predict before Fit")
 	}
 	for i, row := range x {
@@ -496,19 +513,25 @@ func (t *Tree) PredictInto(x [][]float64, dst []float64) {
 }
 
 func (t *Tree) predictRow(row []float64) float64 {
-	n := t.root
-	for !n.leaf {
-		if row[n.feature] <= n.threshold {
-			n = n.left
+	a := &t.nodes
+	leaf := a.Leaf
+	// Slicing every array to len(leaf) lets the compiler drop their bounds
+	// checks once leaf[i] has passed its own.
+	n := len(leaf)
+	feat, thr, left, right := a.Feature[:n], a.Threshold[:n], a.Left[:n], a.Right[:n]
+	i := 0
+	for !leaf[i] {
+		if row[feat[i]] <= thr[i] {
+			i = left[i]
 		} else {
-			n = n.right
+			i = right[i]
 		}
 	}
-	return n.value
+	return a.Value[i]
 }
 
 // NodeCount returns the number of nodes in the fitted tree.
-func (t *Tree) NodeCount() int { return t.nodes }
+func (t *Tree) NodeCount() int { return len(t.nodes.Leaf) }
 
 // Depth returns the depth of the fitted tree.
 func (t *Tree) Depth() int { return t.depth }

@@ -113,21 +113,22 @@ func TestTreeMinSamplesLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify no leaf smaller than 30 by walking the tree.
-	var check func(n *node)
-	check = func(n *node) {
-		if n.leaf {
-			if n.samples < 30 && n != tr.root {
+	a := &tr.nodes
+	var check func(n int)
+	check = func(n int) {
+		if a.Leaf[n] {
+			if a.Samples[n] < 30 && n != 0 {
 				// Root can be small only if data is tiny; here it is not.
 			}
 			return
 		}
-		if n.left.samples < 30 || n.right.samples < 30 {
-			t.Fatalf("leaf with < 30 samples: %d/%d", n.left.samples, n.right.samples)
+		if a.Samples[a.Left[n]] < 30 || a.Samples[a.Right[n]] < 30 {
+			t.Fatalf("leaf with < 30 samples: %d/%d", a.Samples[a.Left[n]], a.Samples[a.Right[n]])
 		}
-		check(n.left)
-		check(n.right)
+		check(a.Left[n])
+		check(a.Right[n])
 	}
-	check(tr.root)
+	check(0)
 }
 
 func TestTreeWeightedFit(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"parcost/internal/dataset"
 )
@@ -308,4 +309,43 @@ func decodePayload(rec journalRecord, dst any) error {
 		return fmt.Errorf("retrain: journal record %d (%s): %w", rec.Seq, rec.Kind, err)
 	}
 	return nil
+}
+
+// writeFileDurable replaces path with data so that a crash leaves either
+// the old file or the complete new one: write a temp file in the same
+// directory, fsync it, rename it over path, then fsync the directory so the
+// rename itself is on disk.
+func writeFileDurable(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -817,10 +817,11 @@ func (c *Controller) fitGatePromote(ctx context.Context) error {
 		return c.finishCycle(outcomeDiscarded)
 	}
 
-	// Promotion. Persist the artifact first: a promoted record must always
-	// point at a loadable file.
+	// Promotion. Persist the artifact first, durably and as the very bytes
+	// the candidate ID hashes: a promoted record must always point at a
+	// loadable file holding that candidate.
 	path := filepath.Join(c.cfg.ArtifactDir, fmt.Sprintf("%s-cycle%d.json", c.cfg.Machine, cycle))
-	if err := guide.SaveAdvisor(path, candidate, c.cfg.Machine); err != nil {
+	if err := writeFileDurable(path, artifact); err != nil {
 		return fmt.Errorf("retrain: persisting candidate: %w", err)
 	}
 	pre := c.cfg.Router.ShardStats()[c.cfg.Machine]

@@ -2,7 +2,10 @@ package retrain
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -346,7 +349,8 @@ func TestControllerPromotesOnDrift(t *testing.T) {
 			t.Fatalf("record %d = %s, want %s (%v)", i, kinds[i], want[i], kinds)
 		}
 	}
-	// The promotion persisted a loadable artifact.
+	// The promotion persisted a loadable artifact holding exactly the bytes
+	// whose hash the journal records as the candidate ID.
 	records := readRecords(t, cfg.JournalPath, "aurora")
 	for _, rec := range records {
 		if rec.Kind != recPromoted {
@@ -358,6 +362,13 @@ func TestControllerPromotesOnDrift(t *testing.T) {
 		}
 		if _, _, err := guide.LoadAdvisor(p.Path); err != nil {
 			t.Fatalf("promoted artifact unloadable: %v", err)
+		}
+		data, err := os.ReadFile(p.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != p.Candidate {
+			t.Fatalf("promoted file hashes to %x, journal names candidate %s", sum, p.Candidate)
 		}
 	}
 }
