@@ -56,7 +56,32 @@ func twinBackends(t testing.TB) (a, b *httptest.Server, ca, cb *countedHandler, 
 // mid-stream must complete every query — correct answers via failover, zero
 // hangs. Run under -race in CI.
 func TestProxyFailoverKillPrimaryMidStream(t *testing.T) {
-	primary, replica, cp, cr, _ := twinBackends(t)
+	primary, replica, cp, cr, routers := twinBackends(t)
+
+	// Every query shape in the stream, pre-swept in process on both
+	// backends. These calls skip countedHandler, so the warm-up below still
+	// reveals the primary; and no request through the proxy pays a cold
+	// sweep, which under -race and load (doubled by the 250 ms hedge) can
+	// outlive the 10 s RequestTimeout.
+	problems := []dataset.Problem{{O: 99, V: 718}, {O: 146, V: 1096}, {O: 180, V: 1070}}
+	objectives := []string{"stq", "bq"}
+	var warm []guide.RoutedQuery
+	for _, pr := range problems {
+		for _, obj := range objectives {
+			o, err := parseObjective(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm = append(warm, guide.RoutedQuery{Machine: "aurora", Query: guide.Query{Problem: pr, Objective: o}})
+		}
+	}
+	for _, r := range routers {
+		for _, res := range r.RecommendBatch(warm) {
+			if res.Err != nil {
+				t.Fatalf("pre-sweep %+v: %v", res.Query, res.Err)
+			}
+		}
+	}
 
 	p, err := fleetproxy.New(fleetproxy.Config{
 		Backends:        []string{primary.URL, replica.URL},
@@ -74,8 +99,7 @@ func TestProxyFailoverKillPrimaryMidStream(t *testing.T) {
 	front := httptest.NewServer(p.Handler())
 	t.Cleanup(front.Close)
 
-	// Warm-up query reveals which backend the ring made primary for "aurora"
-	// (and pre-sweeps the problem, keeping the stream itself fast).
+	// Warm-up query reveals which backend the ring made primary for "aurora".
 	if resp, body := postJSON(t, front.URL+"/v1/recommend",
 		recommendRequest{O: 99, V: 718, Objective: "stq"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up: %d %s", resp.StatusCode, body)
@@ -85,9 +109,7 @@ func TestProxyFailoverKillPrimaryMidStream(t *testing.T) {
 		kill = replica
 	}
 
-	// In-process ground truth for every query shape in the stream.
-	problems := []dataset.Problem{{O: 99, V: 718}, {O: 146, V: 1096}, {O: 180, V: 1070}}
-	objectives := []string{"stq", "bq"}
+	// Ground truth for every query shape in the stream.
 	type wire struct {
 		req  recommendRequest
 		want recommendResponse

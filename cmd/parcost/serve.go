@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"syscall"
 	"time"
@@ -54,6 +55,10 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Decoding the bundle leaves garbage several times the model's size.
+	// Return it to the OS now: otherwise the first sweeps' allocations
+	// stack on pages the runtime has not yet released, raising peak RSS.
+	debug.FreeOSMemory()
 	router := guide.NewRouter(guide.WithAdmission(adm))
 	shardOpts := []guide.ServiceOption{
 		guide.WithCacheSize(*cache),

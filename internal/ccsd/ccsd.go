@@ -17,6 +17,12 @@
 // predict. Sweeping this model over problem sizes, node counts, and tile
 // sizes generates datasets with the same schema and runtime-surface shape
 // as the paper's measured data.
+//
+// On the exact path a term's blocks are costed once per tile-size class
+// (which axes sit on their remainder tile, at most 2⁶ classes) rather than
+// once per block; the per-block durations and the communication sum are
+// still emitted in block order, so the result is bit-identical to costing
+// every block.
 package ccsd
 
 import (
@@ -266,26 +272,26 @@ func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Opt
 	getsPerBlock := 2.0
 
 	if blocks <= float64(opts.cap()) {
-		// Exact list scheduling over per-block durations.
+		// Exact list scheduling over per-block durations. A block's cost
+		// depends only on its tile-size class, so each class is costed
+		// once; durs and commTotal still follow block order, which keeps
+		// every float equal to costing block by block.
 		tc.Exact = true
+		nClass := 1 << len(space)
+		classDur := make([]float64, nClass)
+		classComm := make([]float64, nClass)
+		costed := make([]bool, nClass)
+		sizes := make([]int, len(space))
 		durs := make([]float64, 0, int(blocks))
 		var commTotal float64
-		_ = space.ForEachBlock(opts.cap(), func(sizes []int) {
-			// Split sizes into external (first len(External)) and contract.
-			ext := 1.0
-			for i := 0; i < len(term.External); i++ {
-				ext *= float64(sizes[i])
+		_ = space.ForEachBlockClass(opts.cap(), func(c int) {
+			if !costed[c] {
+				space.ClassSizes(c, sizes)
+				classDur[c], classComm[c] = blockCost(spec, term, tile, sizes)
+				costed[c] = true
 			}
-			con := 1.0
-			for i := len(term.External); i < len(sizes); i++ {
-				con *= float64(sizes[i])
-			}
-			bf := 2 * ext * con * term.Weight
-			md := math.Min(float64(tile), math.Min(
-				math.Pow(ext, 1.0/float64(max(1, len(term.External)))),
-				math.Pow(con, 1.0/float64(max(1, len(term.Contract))))))
-			durs = append(durs, spec.GemmTime(bf, md)+spec.TaskOverheadSec)
-			commTotal += (ext + con) * bytesPerElem
+			durs = append(durs, classDur[c])
+			commTotal += classComm[c]
 		})
 		tc.Compute = simsched.ListMakespan(durs, ranks)
 		tc.Comm = spec.CommTime(commTotal/float64(ranks), int(getsPerBlock*blocks/float64(ranks)), nodes)
@@ -303,6 +309,24 @@ func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Opt
 	totalComm := blocks * commBytesPerBlock / float64(ranks)
 	tc.Comm = spec.CommTime(totalComm, int(getsPerBlock*blocks/float64(ranks)), nodes)
 	return tc
+}
+
+// blockCost returns the duration and communication bytes of one block task
+// with the given per-axis tile sizes (external axes first, then contract).
+func blockCost(spec machine.Spec, term Term, tile int, sizes []int) (dur, commBytes float64) {
+	ext := 1.0
+	for i := 0; i < len(term.External); i++ {
+		ext *= float64(sizes[i])
+	}
+	con := 1.0
+	for i := len(term.External); i < len(sizes); i++ {
+		con *= float64(sizes[i])
+	}
+	bf := 2 * ext * con * term.Weight
+	md := math.Min(float64(tile), math.Min(
+		math.Pow(ext, 1.0/float64(max(1, len(term.External)))),
+		math.Pow(con, 1.0/float64(max(1, len(term.Contract))))))
+	return spec.GemmTime(bf, md) + spec.TaskOverheadSec, (ext + con) * bytesPerElem
 }
 
 // sizeMomentsDuration returns the mean and variance of per-block GEMM

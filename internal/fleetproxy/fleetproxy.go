@@ -15,14 +15,14 @@
 //
 // Circuit breaker state machine (breaker.go):
 //
-//	            threshold consecutive failures
-//	  CLOSED ─────────────────────────────────▶ OPEN
-//	    ▲                                        │ window elapses
-//	    │ success (trial request                 ▼
-//	    │ or health probe)                   HALF-OPEN
-//	    └──────────────────────────────────────┘ │
-//	                 ▲                           │ trial/probe fails
-//	                 └───────────────────────────┘ (re-opens, full window)
+//	          threshold consecutive failures
+//	CLOSED ─────────────────────────────────▶ OPEN
+//	  ▲                                        │ window elapses
+//	  │ success (trial request                 ▼
+//	  │ or health probe)                   HALF-OPEN
+//	  └──────────────────────────────────────┘ │
+//	               ▲                           │ trial/probe fails
+//	               └───────────────────────────┘ (re-opens, full window)
 //
 // While OPEN the proxy rejects the backend without touching it; recovery is
 // probe-driven — the background health prober (prober.go) keeps hitting

@@ -8,6 +8,9 @@
 //     of ranks (dependencies, dynamic greedy dispatch).
 //  2. ListMakespan — greedy list scheduling of independent tasks, the exact
 //     behaviour of TAMM's dynamic work distribution within one contraction.
+//     The first tasks fill idle ranks directly (with no more tasks than
+//     ranks the makespan is the longest task); the rest go through a plain
+//     float64 min-heap of rank loads.
 //  3. ExpectedMakespan — a closed-form approximation used when the block
 //     count reaches millions: mean load per rank plus a trailing-task
 //     imbalance term. Its accuracy against ListMakespan is validated in
@@ -20,55 +23,68 @@ import (
 	"math"
 )
 
-// rankHeap is a min-heap of rank available-times.
-type rankHeap []float64
-
-func (h rankHeap) Len() int            { return len(h) }
-func (h rankHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h rankHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *rankHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *rankHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // ListMakespan computes the makespan of scheduling the given independent
 // task durations onto `ranks` workers with greedy list scheduling (each
 // task goes to the earliest-available rank, in slice order). This models
 // TAMM's dynamic load balancing of block tasks within a contraction.
+//
+// The first min(ranks, len(durs)) tasks each start on an idle rank, so with
+// no more tasks than ranks the makespan is the longest task. Beyond that the
+// rank loads live in a plain float64 min-heap: each further task is added
+// to the least-loaded rank. Which of several tied ranks takes it leaves the
+// multiset of loads, and so the makespan, unchanged.
 func ListMakespan(durs []float64, ranks int) float64 {
 	if ranks <= 0 {
 		panic("simsched: non-positive rank count")
 	}
-	if len(durs) == 0 {
-		return 0
-	}
-	if ranks == 1 {
-		var s float64
-		for _, d := range durs {
-			s += d
-		}
-		return s
-	}
-	h := make(rankHeap, ranks)
-	heap.Init(&h)
 	for _, d := range durs {
 		if d < 0 {
 			panic("simsched: negative task duration")
 		}
-		h[0] += d
-		heap.Fix(&h, 0)
 	}
-	var makespan float64
-	for _, t := range h {
-		if t > makespan {
-			makespan = t
+	if len(durs) <= ranks {
+		return maxLoad(durs)
+	}
+	loads := append([]float64(nil), durs[:ranks]...)
+	for i := ranks/2 - 1; i >= 0; i-- {
+		siftDown(loads, i)
+	}
+	for _, d := range durs[ranks:] {
+		loads[0] += d
+		siftDown(loads, 0)
+	}
+	return maxLoad(loads)
+}
+
+// maxLoad returns the largest of the given non-negative loads.
+func maxLoad(loads []float64) float64 {
+	var m float64
+	for _, t := range loads {
+		if t > m {
+			m = t
 		}
 	}
-	return makespan
+	return m
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []float64, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r] < h[c] {
+			c = r
+		}
+		if !(h[c] < x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // ExpectedMakespan approximates the expected greedy-scheduling makespan of

@@ -1,6 +1,8 @@
 package simsched
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -264,14 +266,106 @@ func TestQuickMakespanLowerBounds(t *testing.T) {
 	}
 }
 
+// refRankHeap and refListMakespan are the container/heap list scheduler
+// ListMakespan replaced: all ranks start on a heap of zero loads and every
+// task goes through heap.Fix. They are the reference the float-heap
+// rewrite must match bit for bit.
+type refRankHeap []float64
+
+func (h refRankHeap) Len() int            { return len(h) }
+func (h refRankHeap) Less(i, j int) bool  { return h[i] < h[j] }
+func (h refRankHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refRankHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
+func (h *refRankHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+func refListMakespan(durs []float64, ranks int) float64 {
+	if len(durs) == 0 {
+		return 0
+	}
+	if ranks == 1 {
+		var s float64
+		for _, d := range durs {
+			s += d
+		}
+		return s
+	}
+	h := make(refRankHeap, ranks)
+	heap.Init(&h)
+	for _, d := range durs {
+		h[0] += d
+		heap.Fix(&h, 0)
+	}
+	var makespan float64
+	for _, t := range h {
+		if t > makespan {
+			makespan = t
+		}
+	}
+	return makespan
+}
+
+// Property: ListMakespan returns the reference scheduler's exact bits over
+// seeded random durations with repeats and zeros, for rank counts from 1 to
+// beyond the task count.
+func TestListMakespanMatchesReference(t *testing.T) {
+	r := rng.New(12)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(300)
+		durs := make([]float64, n)
+		palette := []float64{0, r.Uniform(0, 1), r.Uniform(0, 10)}
+		for i := range durs {
+			switch r.Intn(4) {
+			case 0:
+				durs[i] = palette[r.Intn(len(palette))] // repeats and zeros
+			default:
+				durs[i] = r.Uniform(0, 10)
+			}
+		}
+		for _, ranks := range []int{1, 2, 3, 1 + r.Intn(n), n - 1, n, n + 1, 2*n + r.Intn(50)} {
+			if ranks < 1 {
+				continue
+			}
+			got, want := ListMakespan(durs, ranks), refListMakespan(durs, ranks)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: %d tasks on %d ranks: makespan %v (%#x), reference %v (%#x)",
+					trial, n, ranks, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+func TestListMakespanNegativePanics(t *testing.T) {
+	for _, ranks := range []int{2, 8} { // fewer and more ranks than tasks
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("negative duration on %d ranks did not panic", ranks)
+				}
+			}()
+			ListMakespan([]float64{1, 2, 3, -1}, ranks)
+		}()
+	}
+}
+
 func BenchmarkListMakespan(b *testing.B) {
 	r := rng.New(1)
 	durs := make([]float64, 100000)
 	for i := range durs {
 		durs[i] = r.Uniform(0, 1)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ListMakespan(durs, 128)
+	// 128 ranks: every task past the first 128 goes through the heap.
+	// 200000 ranks: more ranks than tasks, the idle-rank fill alone.
+	for _, ranks := range []int{128, 200000} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ListMakespan(durs, ranks)
+			}
+		})
 	}
 }

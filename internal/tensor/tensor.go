@@ -121,41 +121,74 @@ func (s Space) MaxBlockSize() float64 {
 	return m
 }
 
-// ForEachBlock enumerates every block and calls fn with the per-axis tile
-// sizes (the slice is reused across calls). It returns an error instead of
-// enumerating if the space holds more than maxBlocks blocks, protecting the
-// exact-simulation path from accidental combinatorial explosions.
+// ForEachBlock enumerates every block in odometer order (last axis
+// fastest) and calls fn with the per-axis tile sizes (the slice is reused
+// across calls). It returns an error instead of enumerating if the space
+// holds more than maxBlocks blocks, protecting the exact-simulation path
+// from accidental combinatorial explosions.
 func (s Space) ForEachBlock(maxBlocks int, fn func(sizes []int)) error {
+	sizes := make([]int, len(s))
+	return s.ForEachBlockClass(maxBlocks, func(class int) {
+		s.ClassSizes(class, sizes)
+		fn(sizes)
+	})
+}
+
+// ForEachBlockClass enumerates every block in ForEachBlock's order and calls
+// fn with the block's class: bit i is set when axis i sits on its remainder
+// tile. An axis has at most two tile sizes (Tile and the remainder), so the
+// class fixes the block's size tuple (see ClassSizes) and a space holds at
+// most 2^len(s) classes. A cost that depends only on block sizes can then be
+// computed once per class rather than once per block.
+func (s Space) ForEachBlockClass(maxBlocks int, fn func(class int)) error {
 	if b := s.Blocks(); b > float64(maxBlocks) {
 		return fmt.Errorf("tensor: space has %.0f blocks, exceeds cap %d", b, maxBlocks)
 	}
-	if len(s) == 0 {
-		fn(nil)
-		return nil
-	}
-	axisSizes := make([][]int, len(s))
-	for i, a := range s {
-		axisSizes[i] = a.TileSizes()
-	}
+	// remBit[i] is axis i's class bit when its last tile is a remainder.
+	last := make([]int, len(s))
+	remBit := make([]int, len(s))
 	idx := make([]int, len(s))
-	sizes := make([]int, len(s))
-	for {
-		for i := range s {
-			sizes[i] = axisSizes[i][idx[i]]
+	class := 0
+	for i, a := range s {
+		last[i] = a.NumTiles() - 1
+		if a.Extent%a.Tile != 0 {
+			remBit[i] = 1 << i
 		}
-		fn(sizes)
-		// Odometer increment.
+		if last[i] == 0 {
+			class |= remBit[i]
+		}
+	}
+	for {
+		fn(class)
+		// Odometer increment, keeping the class bits in step.
 		k := len(s) - 1
 		for k >= 0 {
 			idx[k]++
-			if idx[k] < len(axisSizes[k]) {
+			if idx[k] <= last[k] {
+				if idx[k] == last[k] {
+					class |= remBit[k]
+				}
 				break
 			}
 			idx[k] = 0
+			if last[k] > 0 {
+				class &^= remBit[k]
+			}
 			k--
 		}
 		if k < 0 {
 			return nil
+		}
+	}
+}
+
+// ClassSizes writes the per-axis tile sizes of blocks of the given class
+// (see ForEachBlockClass) into sizes, which must hold len(s) entries.
+func (s Space) ClassSizes(class int, sizes []int) {
+	for i, a := range s {
+		sizes[i] = a.Tile
+		if class&(1<<i) != 0 {
+			sizes[i] = a.Extent % a.Tile
 		}
 	}
 }

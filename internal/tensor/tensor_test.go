@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +156,51 @@ func TestForEachBlockEmptySpace(t *testing.T) {
 	}
 	if called != 1 {
 		t.Fatalf("empty space called fn %d times, want 1", called)
+	}
+}
+
+// refBlocks lists every block's tile sizes in odometer order (last axis
+// fastest), built directly from TileSizes.
+func refBlocks(s Space) [][]int {
+	out := [][]int{{}}
+	for _, a := range s {
+		var next [][]int
+		for _, prefix := range out {
+			for _, t := range a.TileSizes() {
+				next = append(next, append(append([]int(nil), prefix...), t))
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// Property: ForEachBlock (and so ForEachBlockClass with ClassSizes) visits
+// every block exactly once, in odometer order, with its tile sizes.
+func TestQuickForEachBlockOrder(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		s := make(Space, r.Intn(5))
+		for i := range s {
+			s[i] = Axis{Extent: 1 + r.Intn(120), Tile: 1 + r.Intn(50)}
+		}
+		if s.Blocks() > 20000 {
+			return true // skip huge spaces
+		}
+		want := refBlocks(s)
+		i, ok := 0, true
+		if err := s.ForEachBlock(20000, func(sz []int) {
+			if i >= len(want) || !slices.Equal(sz, want[i]) {
+				ok = false
+			}
+			i++
+		}); err != nil {
+			return false
+		}
+		return ok && i == len(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
