@@ -23,6 +23,20 @@
 // once per block; the per-block durations and the communication sum are
 // still emitted in block order, so the result is bit-identical to costing
 // every block.
+//
+// SecondsBounds brackets the noise-free iteration time without running the
+// list scheduler, for callers that only need to know whether the time falls
+// in a band. Each list-scheduled term with more blocks than ranks is bounded
+// by Graham's list-scheduling bounds, max(pₘₐₓ, Σ/r) ≤ makespan ≤ Σ/r + pₘₐₓ,
+// where Σ and pₘₐₓ come from the per-class durations times the class block
+// counts; a term with no more blocks than ranks has makespan pₘₐₓ exactly,
+// and a term on the aggregate model is costed exactly as Simulate costs it.
+// Communication uses the closed-form Σ count·bytes, since CommTime is
+// monotone in bytes. The exact path's floats (rank loads and the comm total,
+// each a sum of at most ExactBlockCap terms) differ from the real sums by
+// rounding, so the list-scheduled bounds are widened by a relative slack
+// derived from the block cap (see boundSlack). Seconds itself stays exact:
+// it still schedules every block.
 package ccsd
 
 import (
@@ -209,27 +223,28 @@ func Feasible(spec machine.Spec, p Problem, tile, nodes int) (bool, string) {
 	return true, ""
 }
 
+// checkFeasible returns Simulate's error for a memory-infeasible
+// configuration, or nil.
+func checkFeasible(spec machine.Spec, p Problem, tile, nodes int) error {
+	if ok, why := Feasible(spec, p, tile, nodes); !ok {
+		return fmt.Errorf("ccsd: infeasible config O=%d V=%d tile=%d nodes=%d: %s", p.O, p.V, tile, nodes, why)
+	}
+	return nil
+}
+
 // Simulate computes the wall time of one CCSD iteration for the given
 // configuration on the given machine. It returns an error if the
 // configuration is memory-infeasible.
 func Simulate(spec machine.Spec, p Problem, tile, nodes int, opts Options) (Breakdown, error) {
-	if ok, why := Feasible(spec, p, tile, nodes); !ok {
-		return Breakdown{}, fmt.Errorf("ccsd: infeasible config O=%d V=%d tile=%d nodes=%d: %s", p.O, p.V, tile, nodes, why)
+	if err := checkFeasible(spec, p, tile, nodes); err != nil {
+		return Breakdown{}, err
 	}
 	ranks := spec.Ranks(nodes)
 	bd := Breakdown{Config: spec, Problem: p, Tile: tile, Nodes: nodes, Ranks: ranks}
-	var total float64
 	for _, term := range Terms(p, tile) {
-		tc := simulateTerm(spec, term, tile, nodes, ranks, opts)
-		bd.Terms = append(bd.Terms, tc)
-		total += tc.Compute + tc.Comm
-		// Each term is a synchronization stage.
-		total += spec.BarrierTime(nodes)
+		bd.Terms = append(bd.Terms, simulateTerm(spec, term, tile, nodes, ranks, opts))
 	}
-	// Per-iteration coordination overhead that grows with the rank count;
-	// this is what rolls off strong scaling and yields an interior
-	// shortest-time optimum.
-	total += spec.SyncOverhead(nodes)
+	total := iterationSeconds(spec, nodes, bd.Terms)
 	bd.SyncOverhead = spec.SyncOverhead(nodes)
 	// Per-rank tile working-set memory estimate.
 	block := float64(tile) * float64(tile) * float64(tile) * float64(tile) * bytesPerElem
@@ -241,10 +256,132 @@ func Simulate(spec machine.Spec, p Problem, tile, nodes int, opts Options) (Brea
 	return bd, nil
 }
 
+// iterationSeconds sums the terms' exposed compute and communication into
+// the noise-free iteration time. Each float operation is monotone in its
+// operands, so summing per-term lower (upper) bounds in this same order
+// bounds the sum of the exact terms.
+func iterationSeconds(spec machine.Spec, nodes int, terms []TermCost) float64 {
+	var total float64
+	for _, tc := range terms {
+		total += tc.Compute + tc.Comm
+		// Each term is a synchronization stage.
+		total += spec.BarrierTime(nodes)
+	}
+	// Per-iteration coordination overhead that grows with the rank count;
+	// this is what rolls off strong scaling and yields an interior
+	// shortest-time optimum.
+	return total + spec.SyncOverhead(nodes)
+}
+
+// SecondsBounds returns lo ≤ Seconds(spec, p, tile, nodes, opts) ≤ hi for
+// the noise-free iteration time (opts.Noise is ignored) without running the
+// list scheduler. It errors exactly when Simulate does. Terms on the
+// aggregate model are costed exactly; see the package doc for how the
+// list-scheduled terms are bounded.
+func SecondsBounds(spec machine.Spec, p Problem, tile, nodes int, opts Options) (lo, hi float64, err error) {
+	if err := checkFeasible(spec, p, tile, nodes); err != nil {
+		return 0, 0, err
+	}
+	ranks := spec.Ranks(nodes)
+	terms := Terms(p, tile)
+	los := make([]TermCost, len(terms))
+	his := make([]TermCost, len(terms))
+	for i, term := range terms {
+		los[i], his[i] = boundTerm(spec, term, tile, nodes, ranks, opts)
+	}
+	return iterationSeconds(spec, nodes, los), iterationSeconds(spec, nodes, his), nil
+}
+
+// getsPerBlock is the number of one-sided gets a block task issues, one per
+// input tile operand.
+const getsPerBlock = 2.0
+
+// termComm returns the exposed communication seconds of a term whose blocks
+// get bytes in total, spread evenly over the ranks.
+func termComm(spec machine.Spec, bytes, blocks float64, nodes, ranks int) float64 {
+	return spec.CommTime(bytes/float64(ranks), int(getsPerBlock*blocks/float64(ranks)), nodes)
+}
+
 // simulateTerm costs one contraction term.
 func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Options) TermCost {
 	space := term.blockSpace()
 	blocks := space.Blocks()
+	if blocks > float64(opts.cap()) {
+		return aggregateTerm(spec, term, tile, nodes, ranks, space, blocks)
+	}
+	// Exact list scheduling over per-block durations. A block's cost
+	// depends only on its tile-size class, so each class is costed once;
+	// durs and commTotal still follow block order, which keeps every float
+	// equal to costing block by block.
+	tc := TermCost{Kind: term.Kind, Blocks: blocks, Flops: term.Flops(), Exact: true}
+	classes := classCosts(spec, term, tile, space)
+	durs := make([]float64, 0, int(blocks))
+	var commTotal float64
+	_ = space.ForEachBlockClass(opts.cap(), func(c int) {
+		durs = append(durs, classes[c].dur)
+		commTotal += classes[c].commBytes
+	})
+	tc.Compute = simsched.ListMakespan(durs, ranks)
+	tc.Comm = termComm(spec, commTotal, blocks, nodes, ranks)
+	return tc
+}
+
+// boundTerm returns lower and upper bounds on simulateTerm's Compute and
+// Comm for one term; the other fields equal simulateTerm's.
+func boundTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Options) (lo, hi TermCost) {
+	space := term.blockSpace()
+	blocks := space.Blocks()
+	if blocks > float64(opts.cap()) {
+		tc := aggregateTerm(spec, term, tile, nodes, ranks, space, blocks)
+		return tc, tc
+	}
+	var work, bytes, pmax float64
+	for _, c := range classCosts(spec, term, tile, space) {
+		if c.blocks == 0 {
+			continue
+		}
+		work += c.blocks * c.dur
+		bytes += c.blocks * c.commBytes
+		pmax = math.Max(pmax, c.dur)
+	}
+	slack := boundSlack(opts.cap())
+	lo = TermCost{Kind: term.Kind, Blocks: blocks, Flops: term.Flops(), Exact: true}
+	hi = lo
+	if blocks <= float64(ranks) {
+		// Every block starts on an idle rank: the makespan is the longest
+		// block, exactly.
+		lo.Compute, hi.Compute = pmax, pmax
+	} else {
+		// Graham: max(pmax, Σ/r) ≤ greedy makespan ≤ Σ/r + pmax.
+		mean := work / float64(ranks)
+		lo.Compute = math.Max(pmax, mean*(1-slack))
+		hi.Compute = (mean + pmax) * (1 + slack)
+	}
+	// CommTime is monotone in bytes, so bounding the bytes bounds it.
+	lo.Comm = termComm(spec, bytes*(1-slack), blocks, nodes, ranks)
+	hi.Comm = termComm(spec, bytes*(1+slack), blocks, nodes, ranks)
+	return lo, hi
+}
+
+// boundSlack is the relative slack that widens boundTerm's interval over
+// float rounding on a term of at most blockCap blocks. With u = 2⁻⁵³ and
+// n ≤ blockCap, each of simulateTerm's rank loads and its commTotal is a
+// float sum of at most n non-negative terms, within a factor (1 ± γₙ) of
+// the real sum (γₙ = nu/(1−nu)); boundTerm's Σ count·cost sums at most n
+// products, also within γₙ. The greedy argument holds for the float loads:
+// the longest float load ends with a task d added to the then least-loaded
+// rank, whose float load is at most the mean float load (1+γₙ)(Σ−d)/r.
+// Together with the few single roundings of the division, the additions and
+// the slack factor itself, the lower and upper bounds need a slack of about
+// 2(n+2)u to first order; twice that also covers the second-order terms.
+// 1 ± slack is exact because slack is an even multiple of u below ½.
+func boundSlack(blockCap int) float64 {
+	return 4 * float64(blockCap+2) * 0x1p-53
+}
+
+// aggregateTerm costs a term with the aggregate makespan model used above
+// the exact block cap.
+func aggregateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, space tensor.Space, blocks float64) TermCost {
 	tc := TermCost{Kind: term.Kind, Blocks: blocks, Flops: term.Flops()}
 
 	// Per-block GEMM characteristics. Each block task performs a GEMM whose
@@ -266,39 +403,9 @@ func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Opt
 	meanDur := spec.GemmTime(blockFlops, minDim) + spec.TaskOverheadSec
 
 	// Communication: each task gets its input tiles from remote ranks.
-	// Volume per task ≈ (external block + contraction block) elements, with
-	// one get per input tile operand.
+	// Volume per task ≈ (external block + contraction block) elements.
 	commBytesPerBlock := (externalMean + contractMean) * bytesPerElem
-	getsPerBlock := 2.0
 
-	if blocks <= float64(opts.cap()) {
-		// Exact list scheduling over per-block durations. A block's cost
-		// depends only on its tile-size class, so each class is costed
-		// once; durs and commTotal still follow block order, which keeps
-		// every float equal to costing block by block.
-		tc.Exact = true
-		nClass := 1 << len(space)
-		classDur := make([]float64, nClass)
-		classComm := make([]float64, nClass)
-		costed := make([]bool, nClass)
-		sizes := make([]int, len(space))
-		durs := make([]float64, 0, int(blocks))
-		var commTotal float64
-		_ = space.ForEachBlockClass(opts.cap(), func(c int) {
-			if !costed[c] {
-				space.ClassSizes(c, sizes)
-				classDur[c], classComm[c] = blockCost(spec, term, tile, sizes)
-				costed[c] = true
-			}
-			durs = append(durs, classDur[c])
-			commTotal += classComm[c]
-		})
-		tc.Compute = simsched.ListMakespan(durs, ranks)
-		tc.Comm = spec.CommTime(commTotal/float64(ranks), int(getsPerBlock*blocks/float64(ranks)), nodes)
-		return tc
-	}
-
-	// Aggregate makespan model for large block counts.
 	_, variance := sizeMomentsDuration(space, spec, term, tile)
 	std := math.Sqrt(variance)
 	maxDur := spec.GemmTime(maxBlockFlops(term), float64(tile)) + spec.TaskOverheadSec
@@ -306,9 +413,33 @@ func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Opt
 		maxDur = meanDur
 	}
 	tc.Compute = simsched.ExpectedMakespan(blocks, meanDur, std, maxDur, ranks)
-	totalComm := blocks * commBytesPerBlock / float64(ranks)
-	tc.Comm = spec.CommTime(totalComm, int(getsPerBlock*blocks/float64(ranks)), nodes)
+	tc.Comm = termComm(spec, blocks*commBytesPerBlock, blocks, nodes, ranks)
 	return tc
+}
+
+// blockClass is the cost of one tile-size class of a term's blocks (see
+// tensor.Space.ForEachBlockClass).
+type blockClass struct {
+	blocks    float64 // blocks in the class; zero when the class is absent
+	dur       float64 // seconds of one block task
+	commBytes float64 // bytes one block task gets
+}
+
+// classCosts costs each tile-size class present in the term's block space
+// once, indexed by class. Absent classes are left zero.
+func classCosts(spec machine.Spec, term Term, tile int, space tensor.Space) []blockClass {
+	counts := space.ClassBlocks()
+	classes := make([]blockClass, len(counts))
+	sizes := make([]int, len(space))
+	for c, n := range counts {
+		if n == 0 {
+			continue
+		}
+		space.ClassSizes(c, sizes)
+		dur, commBytes := blockCost(spec, term, tile, sizes)
+		classes[c] = blockClass{blocks: n, dur: dur, commBytes: commBytes}
+	}
+	return classes
 }
 
 // blockCost returns the duration and communication bytes of one block task
@@ -353,13 +484,6 @@ func maxBlockFlops(term Term) float64 {
 	ext := tensor.Space(term.External).MaxBlockSize()
 	con := tensor.Space(term.Contract).MaxBlockSize()
 	return 2 * ext * con * term.Weight
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Seconds is a convenience wrapper returning just the iteration time.

@@ -26,9 +26,18 @@ type Config struct {
 	TileSize int
 }
 
+// NumFeatures is the length of a configuration's feature vector.
+const NumFeatures = 4
+
 // Features returns the 4-feature vector the paper's regressors consume.
 func (c Config) Features() []float64 {
-	return []float64{float64(c.O), float64(c.V), float64(c.Nodes), float64(c.TileSize)}
+	return c.AppendFeatures(make([]float64, 0, NumFeatures))
+}
+
+// AppendFeatures appends the configuration's feature vector (O, V, nodes,
+// tile size) to dst and returns the extended slice.
+func (c Config) AppendFeatures(dst []float64) []float64 {
+	return append(dst, float64(c.O), float64(c.V), float64(c.Nodes), float64(c.TileSize))
 }
 
 // Problem returns the (O, V) problem size of the configuration.

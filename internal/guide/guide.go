@@ -83,6 +83,13 @@ type Oracle interface {
 	TrueTime(c dataset.Config) (float64, bool)
 }
 
+// bandOracle is an Oracle that can answer TrueTime's ok on its own, without
+// the seconds. InBand(c) must equal TrueTime(c)'s ok for every c.
+// Advisor.Recommend prunes with InBand when its oracle implements it.
+type bandOracle interface {
+	InBand(c dataset.Config) bool
+}
+
 // Advisor wraps a fitted runtime-prediction model and answers STQ/BQ.
 type Advisor struct {
 	Model ml.Regressor
@@ -112,6 +119,10 @@ type Recommendation struct {
 // Recommend answers a query for one problem size and objective by sweeping
 // the candidate grid and returning the configuration minimizing the
 // predicted objective. An optional Oracle prunes infeasible configurations.
+// Pruning needs only each configuration's ok, so an oracle with an InBand
+// method (SimOracle) is asked InBand, which gives TrueTime's decisions but
+// computes seconds only near a band edge; any other Oracle is asked
+// TrueTime.
 //
 // Tie-breaking is deterministic: the grid is swept in its stable order
 // (Grid.Configs enumerates sorted nodes × sorted tiles) and the FIRST
@@ -121,19 +132,24 @@ type Recommendation struct {
 // recommendations.
 func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Recommendation, error) {
 	cfgs := a.Grid.Configs(p)
-	rows := make([][]float64, 0, len(cfgs))
+	keep := keepFunc(oracle)
+	// The kept rows share one flat backing array, dataset.NumFeatures
+	// floats per configuration.
+	flat := make([]float64, 0, dataset.NumFeatures*len(cfgs))
 	kept := make([]dataset.Config, 0, len(cfgs))
 	for _, c := range cfgs {
-		if oracle != nil {
-			if _, ok := oracle.TrueTime(c); !ok {
-				continue // infeasible; skip
-			}
+		if keep != nil && !keep(c) {
+			continue // infeasible; skip
 		}
-		rows = append(rows, c.Features())
+		flat = c.AppendFeatures(flat)
 		kept = append(kept, c)
 	}
 	if len(kept) == 0 {
 		return Recommendation{}, fmt.Errorf("guide: no feasible configurations for %v", p)
+	}
+	rows := make([][]float64, len(kept))
+	for i := range rows {
+		rows[i] = flat[i*dataset.NumFeatures : (i+1)*dataset.NumFeatures : (i+1)*dataset.NumFeatures]
 	}
 	preds := a.Model.Predict(rows)
 	bestIdx := -1
@@ -153,6 +169,22 @@ func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Re
 		PredTime:  preds[bestIdx],
 		PredValue: bestVal,
 	}, nil
+}
+
+// keepFunc returns the oracle's pruning decision: InBand when the oracle has
+// it, TrueTime's ok otherwise, nil for no oracle.
+func keepFunc(oracle Oracle) func(dataset.Config) bool {
+	switch o := oracle.(type) {
+	case nil:
+		return nil
+	case bandOracle:
+		return o.InBand
+	default:
+		return func(c dataset.Config) bool {
+			_, ok := o.TrueTime(c)
+			return ok
+		}
+	}
 }
 
 // OptimalConfig returns the ground-truth optimal configuration for a

@@ -8,7 +8,9 @@ import (
 
 // SimOracle answers TrueTime by running the CCSD cost model deterministically
 // (noise-free mean time). This is the ground truth the datasets are sampled
-// from, so it provides a clean reference optimum for STQ/BQ evaluation.
+// from, so it provides a clean reference optimum for STQ/BQ evaluation. Its
+// InBand gives the same decisions as TrueTime's ok but computes the seconds
+// only for configurations near a band edge; Advisor.Recommend uses it.
 //
 // It enforces the same "typical use" runtime band as dataset generation: a
 // configuration whose iteration runs faster than MinSeconds or slower than
@@ -38,6 +40,7 @@ func NewSimOracleBand(spec machine.Spec, minSec, maxSec float64) *SimOracle {
 
 // TrueTime returns the deterministic simulated iteration time, or false if
 // the configuration is infeasible or outside the typical-use runtime band.
+// It always runs the exact cost model; InBand answers the ok alone faster.
 func (o *SimOracle) TrueTime(c dataset.Config) (float64, bool) {
 	secs, err := ccsd.Seconds(o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, o.opts)
 	if err != nil {
@@ -50,6 +53,29 @@ func (o *SimOracle) TrueTime(c dataset.Config) (float64, bool) {
 		return 0, false
 	}
 	return secs, true
+}
+
+// InBand reports TrueTime's ok for c without computing the seconds unless
+// it must. It brackets the time with ccsd.SecondsBounds, which skips the
+// list scheduler, and decides from the interval when it lies wholly inside
+// or wholly outside the band; only an interval that straddles a band edge
+// falls back to TrueTime. The decisions equal TrueTime's, bit for bit:
+// memory-infeasible configurations are out of band, and a non-positive
+// MinSeconds or MaxSeconds disables that side.
+func (o *SimOracle) InBand(c dataset.Config) bool {
+	lo, hi, err := ccsd.SecondsBounds(o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, o.opts)
+	if err != nil {
+		return false
+	}
+	minOn, maxOn := o.MinSeconds > 0, o.MaxSeconds > 0
+	if (minOn && hi < o.MinSeconds) || (maxOn && lo > o.MaxSeconds) {
+		return false
+	}
+	if (!minOn || lo >= o.MinSeconds) && (!maxOn || hi <= o.MaxSeconds) {
+		return true
+	}
+	_, ok := o.TrueTime(c)
+	return ok
 }
 
 // DatasetOracle answers TrueTime by looking up measured records. It is used
@@ -79,6 +105,7 @@ func (o *DatasetOracle) TrueTime(c dataset.Config) (float64, bool) {
 func (o *DatasetOracle) Len() int { return len(o.table) }
 
 var (
-	_ Oracle = (*SimOracle)(nil)
-	_ Oracle = (*DatasetOracle)(nil)
+	_ Oracle     = (*SimOracle)(nil)
+	_ bandOracle = (*SimOracle)(nil)
+	_ Oracle     = (*DatasetOracle)(nil)
 )

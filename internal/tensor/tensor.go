@@ -193,6 +193,28 @@ func (s Space) ClassSizes(class int, sizes []int) {
 	}
 }
 
+// ClassBlocks returns the number of blocks in each class (see
+// ForEachBlockClass), indexed by class: over the axes, the product of the
+// remainder-tile count (zero or one) where the class sets the axis's bit
+// and of the full-tile count where it does not. A class no block falls in
+// has zero.
+func (s Space) ClassBlocks() []float64 {
+	counts := make([]float64, 1<<len(s))
+	counts[0] = 1
+	for i, a := range s {
+		full, rem := float64(a.NumTiles()), 0.0
+		if a.Extent%a.Tile != 0 {
+			full, rem = full-1, 1
+		}
+		bit := 1 << i
+		for c := 0; c < bit; c++ {
+			counts[c|bit] = counts[c] * rem
+			counts[c] *= full
+		}
+	}
+	return counts
+}
+
 // Product is a convenience helper multiplying a size slice.
 func Product(sizes []int) float64 {
 	p := 1.0

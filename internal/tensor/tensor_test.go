@@ -204,6 +204,29 @@ func TestQuickForEachBlockOrder(t *testing.T) {
 	}
 }
 
+// Property: ClassBlocks counts the blocks ForEachBlockClass visits in each
+// class, and is zero for every class it never visits.
+func TestQuickClassBlocksCountsEnumeration(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		s := make(Space, r.Intn(5))
+		for i := range s {
+			s[i] = Axis{Extent: 1 + r.Intn(120), Tile: 1 + r.Intn(50)}
+		}
+		if s.Blocks() > 20000 {
+			return true // skip huge spaces
+		}
+		seen := make([]float64, 1<<len(s))
+		if err := s.ForEachBlockClass(20000, func(c int) { seen[c]++ }); err != nil {
+			return false
+		}
+		return slices.Equal(s.ClassBlocks(), seen)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestProduct(t *testing.T) {
 	if Product([]int{2, 3, 4}) != 24 {
 		t.Fatal("Product wrong")
