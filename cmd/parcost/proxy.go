@@ -1,13 +1,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"parcost/internal/fleetproxy"
@@ -86,10 +82,7 @@ func runProxy(args []string) error {
 	defer p.Close()
 	p.Start()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv := hardenedServer(*addr, p.Handler())
 	fmt.Printf("Proxying %d backends on %s (hedge %s, retries %d, breaker %v/%d)\n",
 		len(p.Backends()), *addr, *hedgeAfter, *retries, *breakerWindow, *breakerFailures)
-	return serveUntilShutdown(ctx, srv, nil, *drain, nil)
+	return runUntilSignal(*addr, p.Handler(), *drain, nil, nil)
 }

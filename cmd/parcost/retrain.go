@@ -1,19 +1,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"parcost/internal/active"
 	"parcost/internal/dataset"
-	"parcost/internal/guide"
-	"parcost/internal/machine"
 	"parcost/internal/ml"
 	"parcost/internal/retrain"
 )
@@ -73,27 +68,18 @@ func runRetrain(args []string) error {
 		return err
 	}
 
-	entries, _, err := guide.LoadFleet(*model)
+	// The retrain daemon serves the same /v1 surface as `parcost serve`
+	// from the same router: the same overload controls and the same
+	// oracle-pruned shards, which promotions and rollbacks keep.
+	router, shards, err := loadFleetRouter(*model, adm)
 	if err != nil {
 		return err
 	}
-	// The retrain daemon serves the same /v1 surface as `parcost serve`, so
-	// it takes the same overload controls: shared sweep admission, per-client
-	// rate limits, and brownout shedding.
-	router := guide.NewRouter(guide.WithAdmission(adm))
 	fleet := retrain.NewFleet()
-	for _, e := range entries {
-		spec, err := machine.ByName(e.Machine)
-		if err != nil {
-			return fmt.Errorf("artifact machine: %w", err)
-		}
-		oracle := guide.NewSimOracle(spec)
-		if err := router.AddShard(e.Machine, e.Advisor, guide.WithOracle(oracle)); err != nil {
-			return err
-		}
+	for _, sh := range shards {
 		// Base rows: the simulated dataset the bundle's advisor family
 		// trains on, so a candidate always retains pre-drift coverage.
-		d, _, err := loadOrGenerate("", e.Machine, *seed, defaultGenSize)
+		d, _, err := loadOrGenerate("", sh.Machine, *seed, defaultGenSize)
 		if err != nil {
 			return err
 		}
@@ -101,16 +87,17 @@ func runRetrain(args []string) error {
 		// own candidate grid.
 		var pool []dataset.Config
 		for _, p := range dataset.PaperProblems() {
-			pool = append(pool, e.Advisor.Grid.Configs(p)...)
+			pool = append(pool, sh.Advisor.Grid.Configs(p)...)
 		}
+		journal := filepath.Join(*state, sh.Machine+".journal")
 		ctrl, err := retrain.New(retrain.Config{
-			Machine:     e.Machine,
+			Machine:     sh.Machine,
 			Router:      router,
-			Measurer:    retrain.SimMeasurer{Oracle: oracle},
+			Measurer:    retrain.SimMeasurer{Oracle: sh.oracle},
 			Pool:        pool,
 			BaseX:       d.Features(),
 			BaseY:       d.Targets(),
-			BaseAdvisor: e.Advisor,
+			BaseAdvisor: sh.Advisor,
 			Fit: func(x [][]float64, y []float64) (ml.Regressor, error) {
 				m := buildGB(*trees, *depth, *seed)
 				if err := m.Fit(x, y); err != nil {
@@ -118,7 +105,7 @@ func runRetrain(args []string) error {
 				}
 				return m, nil
 			},
-			JournalPath: filepath.Join(*state, e.Machine+".journal"),
+			JournalPath: journal,
 			ArtifactDir: *state,
 			Strategy:    kind,
 
@@ -131,21 +118,12 @@ func runRetrain(args []string) error {
 		if err != nil {
 			return err
 		}
-		fleet.Add(e.Machine, ctrl)
-		fmt.Printf("Shard %s: %s advisor under retrain watch (journal %s)\n",
-			e.Machine, e.Advisor.Model.Name(), filepath.Join(*state, e.Machine+".journal"))
+		fleet.Add(sh.Machine, ctrl)
+		fmt.Printf("Retrain watch on %s (journal %s)\n", sh.Machine, journal)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go fleet.Run(ctx)
-
-	srv := hardenedServer(*addr, newServeHandler(router, fleet))
 	fmt.Printf("Serving fleet %v on %s with closed-loop retraining\n", router.Machines(), *addr)
-	return serveUntilShutdown(ctx, srv, nil, *drain, func() error {
-		stop() // ensure the controllers' Run loops exit before journals close
-		return fleet.Close()
-	})
+	return runUntilSignal(*addr, newServeHandler(router, fleet), *drain, fleet.Run, fleet.Close)
 }
 
 func parseStrategy(s string) (active.StrategyKind, error) {

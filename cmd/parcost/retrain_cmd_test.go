@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"parcost/internal/admission"
 	"parcost/internal/dataset"
 	"parcost/internal/guide"
 	"parcost/internal/machine"
@@ -182,6 +183,52 @@ func TestProxyMetricsEndpoint(t *testing.T) {
 	if strings.Contains(text, "parcost_sweep_cache") {
 		t.Error("proxy metrics should not export sweep-cache series (it holds no models)")
 	}
+}
+
+// TestServeAndRetrainRoutersAgree: `parcost serve` and `parcost retrain`
+// build their routers with loadFleetRouter, so one bundle answers every
+// paper problem × {STQ, BQ} identically from both, pruned by the machine's
+// oracle. That holds at boot and after the SwapShard a retrain controller
+// makes to install its incumbent (and on every promotion and rollback).
+func TestServeAndRetrainRoutersAgree(t *testing.T) {
+	adv, _ := testAdvisor(t, machine.Aurora())
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	if err := guide.SaveBundle(path, []guide.FleetEntry{{Machine: "aurora", Advisor: adv}}, guide.BundleMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	serve, _, err := loadFleetRouter(path, guide.NewAdmissionController(admission.ControllerConfig{}),
+		guide.WithCacheSize(guide.DefaultCacheSize), guide.WithCacheBytes(0), guide.WithTTL(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	retrainRouter, shards, err := loadFleetRouter(path, guide.NewAdmissionController(admission.ControllerConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 1 || shards[0].Machine != "aurora" || shards[0].oracle == nil {
+		t.Fatalf("loaded shards %+v, want one oracle-pruned aurora shard", shards)
+	}
+	loaded, oracle := shards[0].Advisor, shards[0].oracle
+	check := func(stage string) {
+		t.Helper()
+		for _, p := range dataset.PaperProblems() {
+			for _, obj := range []guide.Objective{guide.ShortestTime, guide.Budget} {
+				want, wantErr := loaded.Recommend(p, obj, oracle)
+				for name, r := range map[string]*guide.Router{"serve": serve, "retrain": retrainRouter} {
+					got, err := r.Recommend("aurora", p, obj)
+					if (err == nil) != (wantErr == nil) || got != want {
+						t.Fatalf("%s: %s answers %v/%v with %+v (err %v), oracle-pruned advisor %+v (err %v)",
+							stage, name, p, obj, got, err, want, wantErr)
+					}
+				}
+			}
+		}
+	}
+	check("boot")
+	if _, err := retrainRouter.SwapShard("aurora", loaded, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("after swap")
 }
 
 func TestRetrainFlagValidation(t *testing.T) {

@@ -51,31 +51,10 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	entries, _, err := guide.LoadFleet(*model)
+	router, _, err := loadFleetRouter(*model, adm,
+		guide.WithCacheSize(*cache), guide.WithCacheBytes(int64(*cacheMB)<<20), guide.WithTTL(*ttl))
 	if err != nil {
 		return err
-	}
-	// Decoding the bundle leaves garbage several times the model's size.
-	// Return it to the OS now: otherwise the first sweeps' allocations
-	// stack on pages the runtime has not yet released, raising peak RSS.
-	debug.FreeOSMemory()
-	router := guide.NewRouter(guide.WithAdmission(adm))
-	shardOpts := []guide.ServiceOption{
-		guide.WithCacheSize(*cache),
-		guide.WithCacheBytes(int64(*cacheMB) << 20),
-		guide.WithTTL(*ttl),
-	}
-	for _, e := range entries {
-		spec, err := machine.ByName(e.Machine)
-		if err != nil {
-			return fmt.Errorf("artifact machine: %w", err)
-		}
-		opts := append([]guide.ServiceOption{guide.WithOracle(guide.NewSimOracle(spec))}, shardOpts...)
-		if err := router.AddShard(e.Machine, e.Advisor, opts...); err != nil {
-			return err
-		}
-		fmt.Printf("Shard %s: %s advisor (grid %d nodes × %d tiles)\n",
-			e.Machine, e.Advisor.Model.Name(), len(e.Advisor.Grid.Nodes), len(e.Advisor.Grid.TileSizes))
 	}
 	if *warmset != "" {
 		if warmed, err := router.LoadWarmSet(*warmset); err == nil {
@@ -86,12 +65,60 @@ func runServe(args []string) error {
 			fmt.Fprintf(os.Stderr, "warning: warm set %s not loaded: %v\n", *warmset, err)
 		}
 	}
+	fmt.Printf("Serving fleet %v on %s\n", router.Machines(), *addr)
+	return runUntilSignal(*addr, newServeHandler(router, nil), *drain, nil, saveWarmSetOnDrain(router, *warmset))
+}
 
+// fleetShard is one machine of a loaded fleet: its advisor and the oracle
+// its shard prunes with.
+type fleetShard struct {
+	guide.FleetEntry
+	oracle *guide.SimOracle
+}
+
+// loadFleetRouter loads a trained artifact — a fleet bundle or a
+// single-advisor artifact — and builds the router `parcost serve` and
+// `parcost retrain` answer from: one shard per machine behind adm, pruned
+// by that machine's SimOracle and cached per opts. The router's SwapShard
+// keeps each shard's settings, so retrain promotions answer as serve does.
+func loadFleetRouter(path string, adm *admission.Controller, opts ...guide.ServiceOption) (*guide.Router, []fleetShard, error) {
+	entries, _, err := guide.LoadFleet(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Decoding the bundle leaves garbage several times the model's size.
+	// Return it to the OS now: otherwise the first sweeps' allocations
+	// stack on pages the runtime has not yet released, raising peak RSS.
+	debug.FreeOSMemory()
+	router := guide.NewRouter(guide.WithAdmission(adm))
+	shards := make([]fleetShard, 0, len(entries))
+	for _, e := range entries {
+		spec, err := machine.ByName(e.Machine)
+		if err != nil {
+			return nil, nil, fmt.Errorf("artifact machine: %w", err)
+		}
+		sh := fleetShard{FleetEntry: e, oracle: guide.NewSimOracle(spec)}
+		if err := router.AddShard(e.Machine, e.Advisor, append([]guide.ServiceOption{guide.WithOracle(sh.oracle)}, opts...)...); err != nil {
+			return nil, nil, err
+		}
+		shards = append(shards, sh)
+		fmt.Printf("Shard %s: %s advisor (grid %d nodes × %d tiles)\n",
+			e.Machine, e.Advisor.Model.Name(), len(e.Advisor.Grid.Nodes), len(e.Advisor.Grid.TileSizes))
+	}
+	return router, shards, nil
+}
+
+// runUntilSignal serves h on addr through hardenedServer until SIGINT or
+// SIGTERM, then drains it with serveUntilShutdown. background, when
+// non-nil, runs alongside the server under a context the signal cancels;
+// onDrained runs once in-flight requests have finished.
+func runUntilSignal(addr string, h http.Handler, drain time.Duration, background func(context.Context), onDrained func() error) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := hardenedServer(*addr, newServeHandler(router, nil))
-	fmt.Printf("Serving fleet %v on %s\n", router.Machines(), *addr)
-	return serveUntilShutdown(ctx, srv, nil, *drain, saveWarmSetOnDrain(router, *warmset))
+	if background != nil {
+		go background(ctx)
+	}
+	return serveUntilShutdown(ctx, hardenedServer(addr, h), nil, drain, onDrained)
 }
 
 // admissionFlags registers the overload-control flags shared by `parcost

@@ -4,7 +4,23 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 )
+
+// Backoff is the wait before retry n (1-based) on an exponential ladder
+// with jitter: base·2ⁿ⁻¹, capped at limit (as is a doubling that overflows
+// to a non-positive value), then half of that wait fixed plus u times the
+// other half. u is a uniform draw from [0, 1) that the caller takes from
+// its own seeded rng.Source, so a retry schedule replays per seed. The
+// fixed half keeps the ladder growing; the drawn half keeps a fleet of
+// callers that failed together from retrying together.
+func Backoff(n int, base, limit time.Duration, u float64) time.Duration {
+	wait := base << uint(n-1)
+	if wait > limit || wait <= 0 {
+		wait = limit
+	}
+	return wait/2 + time.Duration(u*float64(wait/2))
+}
 
 // RetryBudget is the fleet proxy's shared cap on retries and hedges: a
 // clock-free token bucket in the style of Finagle's retry budgets. Every

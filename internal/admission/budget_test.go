@@ -1,9 +1,52 @@
 package admission
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
+
+// TestBackoff pins the one retry ladder: base·2ⁿ⁻¹ capped at max (and
+// capped when the doubling overflows), of which half is fixed and u scales
+// the other half.
+func TestBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		n           int
+		base, limit time.Duration
+		u           float64
+		want        time.Duration
+	}{
+		{"first retry, no jitter", 1, 10 * ms, time.Second, 0, 5 * ms},
+		{"first retry, mid jitter", 1, 10 * ms, time.Second, 0.5, 7500 * time.Microsecond},
+		{"doubles per retry", 3, 10 * ms, time.Second, 0, 20 * ms},
+		{"exactly at the cap", 2, 40 * ms, 80 * ms, 0, 40 * ms},
+		{"capped", 8, 10 * ms, 80 * ms, 0, 40 * ms},
+		{"capped, jitter", 8, 10 * ms, 80 * ms, 0.25, 50 * ms},
+		{"doubling overflows negative", 41, 10 * ms, time.Second, 0, 500 * ms},
+		{"doubling overflows to zero", 60, 10 * ms, time.Second, 0, 500 * ms},
+		{"zero base takes the cap", 1, 0, time.Second, 0, 500 * ms},
+	} {
+		if got := Backoff(tc.n, tc.base, tc.limit, tc.u); got != tc.want {
+			t.Errorf("%s: Backoff(%d, %v, %v, %g) = %v, want %v", tc.name, tc.n, tc.base, tc.limit, tc.u, got, tc.want)
+		}
+	}
+	// Over the whole draw range u ∈ [0, 1) the wait stays in [cap/2, cap).
+	for n := 1; n <= 70; n++ {
+		capped := min(max(10*ms<<uint(n-1), 0), time.Second)
+		if capped == 0 {
+			capped = time.Second
+		}
+		for _, u := range []float64{0, 0.5, math.Nextafter(1, 0)} {
+			got := Backoff(n, 10*ms, time.Second, u)
+			if got < capped/2 || got >= capped {
+				t.Fatalf("Backoff(%d, u=%g) = %v outside [%v, %v)", n, u, got, capped/2, capped)
+			}
+		}
+	}
+}
 
 func TestRetryBudgetStartsFullAndDrains(t *testing.T) {
 	b := NewRetryBudget(0.2, 3)

@@ -78,7 +78,8 @@ type Config struct {
 	RetryBudget float64
 
 	// RetryBackoff is the base backoff before the first retry, doubling per
-	// subsequent retry with up to 50% added jitter (default 10ms).
+	// subsequent retry; each wait keeps half its value and draws the other
+	// half as jitter (admission.Backoff; default 10ms).
 	RetryBackoff time.Duration
 
 	// Hedge says when to duplicate a slow request onto the next replica
@@ -164,27 +165,25 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// backendState is one backend's live view: breaker, prober-maintained health
-// and score, and the last health report.
+// backendState is one backend's live view: breaker and prober-maintained
+// health and score.
 type backendState struct {
 	url     string
 	breaker *breaker
 
-	mu         sync.Mutex
-	healthy    bool
-	score      float64
-	lastProbe  time.Time
-	lastReport *guide.HealthReport
+	mu        sync.Mutex
+	healthy   bool
+	score     float64
+	lastProbe time.Time
 }
 
-func (b *backendState) setProbe(healthy bool, score float64, rep *guide.HealthReport, at time.Time) {
+func (b *backendState) setProbe(healthy bool, score float64, at time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.healthy = healthy
 	b.lastProbe = at
 	if healthy {
 		b.score = score
-		b.lastReport = rep
 	}
 }
 
@@ -363,18 +362,14 @@ func (p *Proxy) hedgeDelay() time.Duration {
 	return d
 }
 
-// backoff returns the sleep before sequential retry n (1-based): base·2^(n-1)
-// plus up to 50% jitter, capped at one second so failover across a dead
-// fleet stays far under the request deadline.
+// backoff returns the sleep before sequential retry n (1-based):
+// admission.Backoff over RetryBackoff, capped at one second so failover
+// across a dead fleet stays far under the request deadline.
 func (p *Proxy) backoff(n int) time.Duration {
-	d := p.cfg.RetryBackoff << (n - 1)
-	if d > time.Second {
-		d = time.Second
-	}
 	p.jitterMu.Lock()
-	j := p.jitter.Intn(int(d)/2 + 1)
+	u := p.jitter.Float64()
 	p.jitterMu.Unlock()
-	return d + time.Duration(j)
+	return admission.Backoff(n, p.cfg.RetryBackoff, time.Second, u)
 }
 
 // Drain migrates a backend out of the fleet: its warm set (hottest sweep

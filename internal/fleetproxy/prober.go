@@ -69,25 +69,25 @@ func (p *Proxy) probeOne(b *backendState) {
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/healthz", nil)
 	if err != nil {
-		b.setProbe(false, 0, nil, p.cfg.Now())
+		b.setProbe(false, 0, p.cfg.Now())
 		return
 	}
 	start := p.cfg.Now()
 	resp, err := p.client.Do(req)
 	if err != nil {
-		b.setProbe(false, 0, nil, p.cfg.Now())
+		b.setProbe(false, 0, p.cfg.Now())
 		b.breaker.Failure()
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b.setProbe(false, 0, nil, p.cfg.Now())
+		b.setProbe(false, 0, p.cfg.Now())
 		b.breaker.Failure()
 		return
 	}
 	var rep guide.HealthReport
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		b.setProbe(false, 0, nil, p.cfg.Now())
+		b.setProbe(false, 0, p.cfg.Now())
 		b.breaker.Failure()
 		return
 	}
@@ -95,7 +95,7 @@ func (p *Proxy) probeOne(b *backendState) {
 	// the score from the backend's own latency histograms, falling back to
 	// probe round-trip time when it has served no traffic yet.
 	b.breaker.Success()
-	b.setProbe(true, healthScore(rep, p.cfg.Now().Sub(start)), &rep, p.cfg.Now())
+	b.setProbe(true, healthScore(rep, p.cfg.Now().Sub(start)), p.cfg.Now())
 }
 
 // healthScore converts a backend's latency histograms into a scalar

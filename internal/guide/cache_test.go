@@ -50,7 +50,7 @@ func problemN(i int) dataset.Problem { return dataset.Problem{O: 10 + i, V: 100 
 func TestCacheByteBoundLRUOrder(t *testing.T) {
 	adv, model := fastAdvisor(5)
 	// Entry-count bound removed; only the byte bound governs.
-	svc, err := NewService(adv, WithCacheSize(0), WithCacheBytes(2*entryBytes))
+	svc, err := newTestService(adv, WithCacheSize(0), WithCacheBytes(2*entryBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCacheByteBoundLRUOrder(t *testing.T) {
 // TestCacheBothBoundsCompose: the tighter of the entry and byte bounds wins.
 func TestCacheBothBoundsCompose(t *testing.T) {
 	adv, _ := fastAdvisor(5)
-	svc, err := NewService(adv, WithCacheSize(10), WithCacheBytes(3*entryBytes))
+	svc, err := newTestService(adv, WithCacheSize(10), WithCacheBytes(3*entryBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCacheBothBoundsCompose(t *testing.T) {
 		t.Fatalf("size %d, want 3 (byte bound tighter than entry bound)", st.Size)
 	}
 
-	svc, err = NewService(adv, WithCacheSize(2), WithCacheBytes(100*entryBytes))
+	svc, err = newTestService(adv, WithCacheSize(2), WithCacheBytes(100*entryBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCacheBothBoundsCompose(t *testing.T) {
 // and re-swept.
 func TestCacheTTLExpiry(t *testing.T) {
 	adv, model := fastAdvisor(5)
-	svc, err := NewService(adv, WithTTL(time.Minute))
+	svc, err := newTestService(adv, WithTTL(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 // a persisted warm set never pre-sweeps stale traffic.
 func TestCacheTTLExpiredKeysLeaveWarmSet(t *testing.T) {
 	adv, _ := fastAdvisor(5)
-	svc, err := NewService(adv, WithTTL(time.Minute))
+	svc, err := newTestService(adv, WithTTL(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCacheTTLExpiredKeysLeaveWarmSet(t *testing.T) {
 // caching (the PR 3 contract), but adding a byte bound re-enables it.
 func TestCacheDisabledWithByteBoundOnly(t *testing.T) {
 	adv, model := fastAdvisor(5)
-	svc, err := NewService(adv, WithCacheSize(0))
+	svc, err := newTestService(adv, WithCacheSize(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCacheDisabledWithByteBoundOnly(t *testing.T) {
 // snapshot and answers are always correct.
 func TestCacheEvictionUnderRace(t *testing.T) {
 	adv, _ := fastAdvisor(5)
-	svc, err := NewService(adv, WithCacheSize(0), WithCacheBytes(4*entryBytes), WithTTL(5*time.Millisecond))
+	svc, err := newTestService(adv, WithCacheSize(0), WithCacheBytes(4*entryBytes), WithTTL(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestOverloadServiceSoak(t *testing.T) {
 
 	// Unloaded reference: the answer each key must get.
 	refModel := &detModel{}
-	refSvc, err := NewService(&Advisor{Model: refModel, Grid: dataset.Grid{Nodes: []int{10, 20}, TileSizes: []int{40, 60}}})
+	refSvc, err := newTestService(&Advisor{Model: refModel, Grid: dataset.Grid{Nodes: []int{10, 20}, TileSizes: []int{40, 60}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestOverloadServiceSoak(t *testing.T) {
 	model := &detModel{delay: sweepTime}
 	// Cache disabled: every non-coalesced request must sweep, which is what
 	// makes the storm an overload rather than a hit parade.
-	svc, err := NewService(&Advisor{Model: model, Grid: dataset.Grid{Nodes: []int{10, 20}, TileSizes: []int{40, 60}}},
-		WithCacheSize(0), withSharedAdmission(adm))
+	svc, err := newService(&Advisor{Model: model, Grid: dataset.Grid{Nodes: []int{10, 20}, TileSizes: []int{40, 60}}},
+		adm, newServiceConfig(WithCacheSize(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +225,8 @@ func TestOverloadServiceSoak(t *testing.T) {
 func TestOverloadCancelWhileQueued(t *testing.T) {
 	adm := admission.NewController(admission.ControllerConfig{Capacity: 1, MaxQueue: 4})
 	model := newGateModel()
-	svc, err := NewService(&Advisor{Model: model, Grid: dataset.Grid{Nodes: []int{10}, TileSizes: []int{40}}},
-		WithTTL(time.Minute), withSharedAdmission(adm))
+	svc, err := newService(&Advisor{Model: model, Grid: dataset.Grid{Nodes: []int{10}, TileSizes: []int{40}}},
+		adm, newServiceConfig(WithTTL(time.Minute)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestOverloadBrownoutServesStale(t *testing.T) {
 		Now: now,
 	})
 	adv, model := fastAdvisor(5)
-	svc, err := NewService(adv, WithTTL(time.Minute), WithClock(now), withSharedAdmission(adm))
+	svc, err := newService(adv, adm, newServiceConfig(WithTTL(time.Minute), WithClock(now)))
 	if err != nil {
 		t.Fatal(err)
 	}

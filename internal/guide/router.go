@@ -22,7 +22,7 @@ import (
 // overload is refused with structured errors instead of unbounded queueing.
 //
 // Shards can be added and removed while queries are in flight (hot
-// retrain-in-place: fit a new advisor, AddShard over the old name). A
+// retrain-in-place: fit a new advisor, SwapShard it in under the old name). A
 // removed shard's in-flight sweeps complete on the detached Service;
 // subsequent queries for its machine fail with an unknown-machine error.
 type Router struct {
@@ -65,9 +65,7 @@ func NewRouter(opts ...RouterOption) *Router {
 		opt(r)
 	}
 	if r.adm == nil {
-		r.adm = admission.NewController(admission.ControllerConfig{
-			Capacity: runtime.GOMAXPROCS(0),
-		})
+		r.adm = NewAdmissionController(admission.ControllerConfig{})
 	}
 	return r
 }
@@ -77,14 +75,14 @@ func (r *Router) Admission() *admission.Controller { return r.adm }
 
 // AddShard registers (or hot-replaces) the Service answering queries for a
 // machine. The shard is built with the Router's shared admission controller;
-// the given options configure its oracle and cache bounds. Replacing an
-// existing shard swaps atomically: queries either see the old Service or the
-// new one, never a gap.
+// the given options configure its oracle and cache bounds, and stay with the
+// machine across SwapShard. Replacing an existing shard swaps atomically:
+// queries either see the old Service or the new one, never a gap.
 func (r *Router) AddShard(machine string, adv *Advisor, opts ...ServiceOption) error {
 	if machine == "" {
 		return fmt.Errorf("guide: AddShard requires a machine name")
 	}
-	svc, err := NewService(adv, append(opts, withSharedAdmission(r.adm))...)
+	svc, err := newService(adv, r.adm, newServiceConfig(opts...))
 	if err != nil {
 		return fmt.Errorf("guide: shard %q: %w", machine, err)
 	}
@@ -94,31 +92,38 @@ func (r *Router) AddShard(machine string, adv *Advisor, opts ...ServiceOption) e
 	return nil
 }
 
-// SwapShard hot-replaces a machine's shard with a freshly fitted advisor,
-// carrying the outgoing shard's warm set forward: the hottest warmLimit
+// SwapShard hot-replaces a machine's shard with a freshly fitted advisor.
+// The new Service keeps the outgoing shard's oracle and cache settings, so
+// promotion, rollback and resume never change how a machine's queries are
+// pruned or cached; a machine with no current shard gets the defaults (no
+// oracle), as AddShard without options would give it.
+//
+// The outgoing shard's warm set is carried forward: the hottest warmLimit
 // cache keys of the old Service (warmLimit <= 0: all resident keys) are
 // pre-swept through the NEW service BEFORE it is installed, so promotion has
 // no cold-cache window — queries keep landing on the old shard until the new
 // one is warm, then cut over atomically. Returns how many keys were warmed
 // (a key whose sweep fails on the new advisor is skipped, not fatal).
-// Swapping a machine with no current shard is AddShard plus an empty warm
-// set. Retrain promotion and rollback are both this call, in opposite
-// directions.
+// Retrain promotion and rollback are both this call, in opposite directions.
 //
 // Two concurrent SwapShards on the same machine are last-install-wins; the
 // retrain controller serializes its own promote/rollback, so this only
 // matters for callers driving swaps by hand.
-func (r *Router) SwapShard(machine string, adv *Advisor, warmLimit int, opts ...ServiceOption) (int, error) {
+func (r *Router) SwapShard(machine string, adv *Advisor, warmLimit int) (int, error) {
 	if machine == "" {
 		return 0, fmt.Errorf("guide: SwapShard requires a machine name")
-	}
-	svc, err := NewService(adv, append(opts, withSharedAdmission(r.adm))...)
-	if err != nil {
-		return 0, fmt.Errorf("guide: shard %q: %w", machine, err)
 	}
 	r.mu.RLock()
 	old := r.shards[machine]
 	r.mu.RUnlock()
+	cfg := newServiceConfig()
+	if old != nil {
+		cfg = old.cfg
+	}
+	svc, err := newService(adv, r.adm, cfg)
+	if err != nil {
+		return 0, fmt.Errorf("guide: shard %q: %w", machine, err)
+	}
 	warmed := 0
 	if old != nil {
 		// Warm sweeps run on the incoming service (bounded by the shared

@@ -236,6 +236,72 @@ func TestRouterConcurrentAddRemove(t *testing.T) {
 // contract: a shard with zero sweeps contributes nothing to SweepMin
 // (min-of-mins over sweeping shards, not zero), and SweepMax is the
 // max-of-maxes.
+// TestRouterSwapShardKeepsShardSettings: a swap rebuilds the machine's
+// Service from the outgoing shard's settings, so the oracle, the entry
+// bound, the TTL and the clock given to AddShard survive promotion and
+// rollback without the caller repeating them. Answers are taken through
+// RecommendBatch, which must keep input order and equal the oracle-pruned
+// advisor entry by entry.
+func TestRouterSwapShardKeepsShardSettings(t *testing.T) {
+	adv, oracle := serviceAdvisor(t)
+	var nowNS atomic.Int64
+	nowNS.Store(time.Unix(1700000000, 0).UnixNano())
+	now := func() time.Time { return time.Unix(0, nowNS.Load()) }
+	r := NewRouter()
+	if err := r.AddShard("aurora", adv, WithOracle(oracle), WithCacheSize(2), WithTTL(time.Minute), WithClock(now)); err != nil {
+		t.Fatal(err)
+	}
+	problems := []dataset.Problem{{O: 146, V: 1096}, {O: 99, V: 718}, {O: 116, V: 840}}
+	var queries []RoutedQuery
+	for _, p := range problems {
+		for _, obj := range []Objective{ShortestTime, Budget} {
+			queries = append(queries, RoutedQuery{Machine: "aurora", Query: Query{Problem: p, Objective: obj}})
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		pruned := 0
+		for i, res := range r.RecommendBatch(queries) {
+			q := queries[i].Query
+			want, err := adv.Recommend(q.Problem, q.Objective, oracle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.RoutedQuery != queries[i] || res.Err != nil || res.Rec != want {
+				t.Fatalf("%s: batch entry %d = %+v, want the oracle-pruned advisor's %+v for %+v", stage, i, res, want, queries[i])
+			}
+			if unpruned, err := adv.Recommend(q.Problem, q.Objective, nil); err == nil && unpruned != want {
+				pruned++
+			}
+		}
+		if pruned == 0 {
+			t.Fatalf("%s: the oracle changed no answer, so the check cannot tell a dropped oracle", stage)
+		}
+		if st := r.ShardStats()["aurora"]; st.Size > 2 {
+			t.Fatalf("%s: %d resident entries past the shard's bound of 2", stage, st.Size)
+		}
+	}
+	check("before swap")
+	if _, err := r.SwapShard("aurora", adv, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("after swap")
+
+	// The TTL and its clock came across too: a key cached now expires once
+	// the shard's clock moves past a minute.
+	p := problems[0]
+	if _, err := r.Recommend("aurora", p, ShortestTime); err != nil {
+		t.Fatal(err)
+	}
+	nowNS.Add(int64(2 * time.Minute))
+	if _, err := r.Recommend("aurora", p, ShortestTime); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.ShardStats()["aurora"]; st.Expired == 0 {
+		t.Fatalf("no TTL expiry after the swap: %+v", st)
+	}
+}
+
 // TestRouterSwapShardCarriesWarmSet pins the promotion primitive: the
 // incoming service is pre-swept with the outgoing shard's hottest keys
 // BEFORE installation, so the first post-swap query for a warm key is a

@@ -4,15 +4,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"parcost/internal/admission"
 	"parcost/internal/dataset"
 )
 
-// Service wraps a fitted Advisor for concurrent serving. It is safe for use
-// from many goroutines at once:
+// Service is one shard of a Router: a fitted Advisor wrapped for concurrent
+// serving. It is safe for use from many goroutines at once:
 //
 //   - Recommend answers STQ/BQ queries through a bounded LRU cache keyed by
 //     (problem, objective), so repeated queries for the same problem don't
@@ -21,55 +20,62 @@ import (
 //   - Concurrent first requests for the same key are coalesced: one
 //     goroutine sweeps, the rest wait for its result (no duplicated work,
 //     no thundering herd on a cold cache).
-//   - RecommendBatch fans a query list across a bounded worker pool.
-//   - Sweeps run behind an admission.Controller: a bounded, deadline-aware
-//     queue in front of the sweep slots, plus optional brownout-mode
-//     shedding. RecommendCtx threads the caller's context down into
-//     admission, so deadlines propagate and a disconnected caller's queued
-//     sweep never starts.
+//   - Sweeps run behind the Router's admission.Controller: a bounded,
+//     deadline-aware queue in front of the fleet's sweep slots, plus
+//     optional brownout-mode shedding. RecommendCtx threads the caller's
+//     context down into admission, so deadlines propagate and a
+//     disconnected caller's queued sweep never starts.
 //
-// Services can stand alone or serve as shards of a Router, in which case the
-// Router supplies one shared admission controller so the whole fleet's
-// CPU-bound sweeps stay bounded together.
+// Services are built only by Router.AddShard and Router.SwapShard, so every
+// shard shares the fleet's admission controller and a swapped-in advisor
+// keeps the oracle and cache settings its machine was added with.
 //
 // The underlying model's Predict must be goroutine-safe; every model family
 // in this library predicts from immutable fitted state with per-call
 // scratch, which the -race hammer tests in internal/ml verify.
 type Service struct {
-	adv    *Advisor
-	oracle Oracle // optional feasibility pruning, applied to every query
-	cache  *sweepCache
+	adv   *Advisor
+	cfg   serviceConfig
+	cache *sweepCache
+}
 
-	// Construction-time knobs consumed by NewService when it builds cache.
+// serviceConfig is a shard's construction settings. AddShard decides it
+// once from its ServiceOptions; SwapShard rebuilds the machine's Service
+// from the outgoing shard's copy.
+type serviceConfig struct {
+	oracle     Oracle // optional feasibility pruning, applied to every query
 	maxEntries int
 	maxBytes   int64
 	ttl        time.Duration
-	adm        *admission.Controller // non-nil when a Router shares its controller
-	clock      func() time.Time      // non-nil overrides the cache clock
+	clock      func() time.Time // non-nil overrides the cache clock
+}
+
+// newServiceConfig applies opts over the defaults.
+func newServiceConfig(opts ...ServiceOption) serviceConfig {
+	cfg := serviceConfig{maxEntries: DefaultCacheSize}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
 }
 
 // DefaultCacheSize bounds the per-problem sweep cache unless overridden.
 const DefaultCacheSize = 1024
 
-// ServiceOption configures a Service.
-type ServiceOption func(*Service)
+// ServiceOption configures a shard's Service (see Router.AddShard).
+type ServiceOption func(*serviceConfig)
 
 // WithOracle sets an oracle used to prune infeasible configurations on
 // every query, mirroring Advisor.Recommend's optional oracle argument.
 func WithOracle(o Oracle) ServiceOption {
-	return func(s *Service) { s.oracle = o }
+	return func(c *serviceConfig) { c.oracle = o }
 }
 
 // WithCacheSize bounds the sweep cache to n entries; n <= 0 removes the
 // entry-count bound, which disables caching entirely unless a byte bound
 // (WithCacheBytes) is also configured.
 func WithCacheSize(n int) ServiceOption {
-	return func(s *Service) {
-		if n < 0 {
-			n = 0
-		}
-		s.maxEntries = n
-	}
+	return func(c *serviceConfig) { c.maxEntries = max(n, 0) }
 }
 
 // WithCacheBytes bounds the sweep cache's approximate resident footprint to
@@ -77,12 +83,7 @@ func WithCacheSize(n int) ServiceOption {
 // n <= 0 removes the byte bound. Both bounds may be active at once; eviction
 // runs until every configured bound holds.
 func WithCacheBytes(n int64) ServiceOption {
-	return func(s *Service) {
-		if n < 0 {
-			n = 0
-		}
-		s.maxBytes = n
-	}
+	return func(c *serviceConfig) { c.maxBytes = max(n, 0) }
 }
 
 // WithTTL expires cached sweeps d after insertion, so a model retrained in
@@ -91,24 +92,13 @@ func WithCacheBytes(n int64) ServiceOption {
 // entries are dropped lazily on their next lookup and counted in
 // Stats.Expired.
 func WithTTL(d time.Duration) ServiceOption {
-	return func(s *Service) {
-		if d < 0 {
-			d = 0
-		}
-		s.ttl = d
-	}
+	return func(c *serviceConfig) { c.ttl = max(d, 0) }
 }
 
 // WithClock overrides the cache's TTL clock (tests and deterministic
 // deployments; default time.Now).
 func WithClock(now func() time.Time) ServiceOption {
-	return func(s *Service) { s.clock = now }
-}
-
-// withSharedAdmission wires the Router's fleet-wide admission controller
-// into a shard. Unexported: standalone Services build their own.
-func withSharedAdmission(adm *admission.Controller) ServiceOption {
-	return func(s *Service) { s.adm = adm }
+	return func(c *serviceConfig) { c.clock = now }
 }
 
 // NewAdmissionController builds an admission controller for the serving
@@ -123,33 +113,20 @@ func NewAdmissionController(cfg admission.ControllerConfig) *admission.Controlle
 	return admission.NewController(cfg)
 }
 
-// NewService wraps a fitted Advisor for concurrent serving.
-func NewService(adv *Advisor, opts ...ServiceOption) (*Service, error) {
+// newService wraps a fitted Advisor as a shard whose sweeps go through adm.
+func newService(adv *Advisor, adm *admission.Controller, cfg serviceConfig) (*Service, error) {
 	if adv == nil || adv.Model == nil {
-		return nil, fmt.Errorf("guide: NewService requires a fitted advisor")
+		return nil, fmt.Errorf("guide: a shard requires a fitted advisor")
 	}
-	s := &Service{adv: adv, maxEntries: DefaultCacheSize}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if s.adm == nil {
-		s.adm = admission.NewController(admission.ControllerConfig{
-			Capacity: runtime.GOMAXPROCS(0),
-		})
-	}
-	s.cache = newSweepCache(s.maxEntries, s.maxBytes, s.ttl, s.adm)
-	if s.clock != nil {
-		s.cache.now = s.clock
+	s := &Service{adv: adv, cfg: cfg, cache: newSweepCache(cfg.maxEntries, cfg.maxBytes, cfg.ttl, adm)}
+	if cfg.clock != nil {
+		s.cache.now = cfg.clock
 	}
 	return s, nil
 }
 
 // Advisor returns the wrapped advisor (shared, read-only).
 func (s *Service) Advisor() *Advisor { return s.adv }
-
-// Admission returns the controller bounding this service's sweeps (the
-// Router's shared controller when the service is a shard).
-func (s *Service) Admission() *admission.Controller { return s.adm }
 
 // Recommend answers one STQ/BQ query, serving repeats from the cache. It is
 // RecommendCtx without a caller deadline; use RecommendCtx on request paths
@@ -168,58 +145,8 @@ func (s *Service) Recommend(p dataset.Problem, obj Objective) (Recommendation, e
 func (s *Service) RecommendCtx(ctx context.Context, p dataset.Problem, obj Objective) (rec Recommendation, stale bool, err error) {
 	q := Query{Problem: p, Objective: obj}
 	return s.cache.do(ctx, q, func() (Recommendation, error) {
-		return s.adv.Recommend(p, obj, s.oracle)
+		return s.adv.Recommend(p, obj, s.cfg.oracle)
 	})
-}
-
-// BatchResult pairs one batch query's answer with its error. Stale marks a
-// brownout-degraded answer (see RecommendCtx).
-type BatchResult struct {
-	Query Query
-	Rec   Recommendation
-	Stale bool
-	Err   error
-}
-
-// RecommendBatch answers a list of queries concurrently, returning results
-// in input order. Worker goroutines are cheap waiters; the underlying grid
-// sweeps are bounded by the admission controller shared with Recommend
-// (and, for Router shards, with every other shard of the fleet), so
-// concurrent batch calls cannot multiply CPU-bound sweeps past it.
-func (s *Service) RecommendBatch(queries []Query) []BatchResult {
-	return s.RecommendBatchCtx(context.Background(), queries)
-}
-
-// RecommendBatchCtx is RecommendBatch under a caller context: the deadline
-// and cancellation propagate into every entry's admission.
-func (s *Service) RecommendBatchCtx(ctx context.Context, queries []Query) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				q := queries[i]
-				rec, stale, err := s.RecommendCtx(ctx, q.Problem, q.Objective)
-				out[i] = BatchResult{Query: q, Rec: rec, Stale: stale, Err: err}
-			}
-		}()
-	}
-	for i := range queries {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
 }
 
 // PredictTime predicts the iteration seconds of one configuration.

@@ -26,9 +26,19 @@ func serviceAdvisor(t *testing.T) (*Advisor, *SimOracle) {
 	return adv, NewSimOracle(spec)
 }
 
+// newTestService builds a Service the way the serving tier does: as the
+// only shard of a fresh Router.
+func newTestService(adv *Advisor, opts ...ServiceOption) (*Service, error) {
+	r := NewRouter()
+	if err := r.AddShard("test", adv, opts...); err != nil {
+		return nil, err
+	}
+	return r.Shard("test")
+}
+
 func TestServiceMatchesAdvisor(t *testing.T) {
 	adv, oracle := serviceAdvisor(t)
-	svc, err := NewService(adv, WithOracle(oracle))
+	svc, err := newTestService(adv, WithOracle(oracle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +61,7 @@ func TestServiceMatchesAdvisor(t *testing.T) {
 
 func TestServiceCacheHitsAndEviction(t *testing.T) {
 	adv, oracle := serviceAdvisor(t)
-	svc, err := NewService(adv, WithOracle(oracle), WithCacheSize(2))
+	svc, err := newTestService(adv, WithOracle(oracle), WithCacheSize(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestServiceCacheHitsAndEviction(t *testing.T) {
 
 func TestServiceCacheDisabled(t *testing.T) {
 	adv, oracle := serviceAdvisor(t)
-	svc, err := NewService(adv, WithOracle(oracle), WithCacheSize(0))
+	svc, err := newTestService(adv, WithOracle(oracle), WithCacheSize(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +139,7 @@ func TestServiceCacheDisabled(t *testing.T) {
 // CI runs this under -race.
 func TestServiceConcurrentRecommend(t *testing.T) {
 	adv, oracle := serviceAdvisor(t)
-	svc, err := NewService(adv, WithOracle(oracle))
+	svc, err := newTestService(adv, WithOracle(oracle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,43 +198,11 @@ func TestServiceConcurrentRecommend(t *testing.T) {
 	}
 }
 
-func TestServiceRecommendBatch(t *testing.T) {
-	adv, oracle := serviceAdvisor(t)
-	svc, err := NewService(adv, WithOracle(oracle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{
-		{dataset.Problem{O: 146, V: 1096}, ShortestTime},
-		{dataset.Problem{O: 146, V: 1096}, Budget},
-		{dataset.Problem{O: 99, V: 718}, ShortestTime},
-	}
-	results := svc.RecommendBatch(queries)
-	if len(results) != len(queries) {
-		t.Fatalf("%d results for %d queries", len(results), len(queries))
-	}
-	for i, res := range results {
-		if res.Query != queries[i] {
-			t.Fatalf("result %d is for query %+v, want %+v (order must be preserved)", i, res.Query, queries[i])
-		}
-		if res.Err != nil {
-			t.Fatalf("result %d: %v", i, res.Err)
-		}
-		want, err := adv.Recommend(queries[i].Problem, queries[i].Objective, oracle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rec != want {
-			t.Fatalf("batch result %d differs from serial advisor", i)
-		}
-	}
-}
-
 func TestServiceRequiresFittedAdvisor(t *testing.T) {
-	if _, err := NewService(nil); err == nil {
+	if _, err := newTestService(nil); err == nil {
 		t.Fatal("nil advisor accepted")
 	}
-	if _, err := NewService(&Advisor{}); err == nil {
+	if _, err := newTestService(&Advisor{}); err == nil {
 		t.Fatal("advisor without model accepted")
 	}
 }
@@ -321,7 +299,7 @@ func (panicModel) Predict(x [][]float64) []float64      { panic("model exploded"
 // key re-attempt instead of blocking forever.
 func TestServicePanicDoesNotWedgeKey(t *testing.T) {
 	adv := &Advisor{Model: panicModel{}, Grid: dataset.Grid{Nodes: []int{10}, TileSizes: []int{40}}}
-	svc, err := NewService(adv)
+	svc, err := newTestService(adv)
 	if err != nil {
 		t.Fatal(err)
 	}

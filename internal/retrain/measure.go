@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"parcost/internal/admission"
 	"parcost/internal/dataset"
 	"parcost/internal/guide"
 	"parcost/internal/rng"
@@ -61,9 +62,8 @@ func realSleep(ctx context.Context, d time.Duration) error {
 
 // measureOne runs a single configuration with per-attempt deadlines and
 // bounded retries. Each attempt gets a fresh AttemptTimeout; between
-// attempts it backs off exponentially (base << attempt, capped) with
-// deterministic jitter from r, so two resumed controllers with the same
-// seed replay identical schedules. Returns the attempts actually made
+// attempts it waits admission.Backoff with jitter drawn from r, so two
+// resumed controllers with the same seed replay identical schedules. Returns the attempts actually made
 // alongside the outcome.
 func measureOne(ctx context.Context, m Measurer, c dataset.Config,
 	attemptTimeout time.Duration, retries int, backoffBase, backoffMax time.Duration,
@@ -87,13 +87,7 @@ func measureOne(ctx context.Context, m Measurer, c dataset.Config,
 		if attempt >= retries {
 			return 0, attempts, fmt.Errorf("retrain: measuring %v: %w (after %d attempts)", c, err, attempts)
 		}
-		wait := backoffBase << uint(attempt)
-		if wait > backoffMax || wait <= 0 {
-			wait = backoffMax
-		}
-		// Full jitter: wait/2 fixed plus up to wait/2 random, avoiding
-		// synchronized retry bursts across a fleet of controllers.
-		wait = wait/2 + time.Duration(r.Float64()*float64(wait/2))
+		wait := admission.Backoff(attempt+1, backoffBase, backoffMax, r.Float64())
 		if serr := sleep(ctx, wait); serr != nil {
 			return 0, attempts, serr
 		}

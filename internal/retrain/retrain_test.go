@@ -15,6 +15,7 @@ import (
 	"parcost/internal/active"
 	"parcost/internal/dataset"
 	"parcost/internal/guide"
+	"parcost/internal/machine"
 	"parcost/internal/ml"
 	"parcost/internal/rng"
 )
@@ -371,6 +372,74 @@ func TestControllerPromotesOnDrift(t *testing.T) {
 			t.Fatalf("promoted file hashes to %x, journal names candidate %s", sum, p.Candidate)
 		}
 	}
+}
+
+// TestControllerKeepsShardOracle: the controller installs, promotes and
+// rolls back advisors through SwapShard, and every one of those swaps must
+// keep the oracle the machine's shard was added with. The shard's answers
+// over every paper problem × {STQ, BQ} must equal Advisor.Recommend pruned by
+// that oracle: right after New (which installs the incumbent), after a
+// promotion, after a rollback, and after a resume.
+func TestControllerKeepsShardOracle(t *testing.T) {
+	dir := t.TempDir()
+	cfg, router := testController(t, dir, newScriptedMeasurer())
+	// The paper's grid: a constant model answers with the first kept
+	// configuration, so any change in pruning changes the answer.
+	cfg.BaseAdvisor = &guide.Advisor{Model: cfg.BaseAdvisor.Model, Grid: dataset.DefaultGrid()}
+	oracle := guide.NewSimOracle(machine.Aurora())
+	if err := router.AddShard("aurora", cfg.BaseAdvisor, guide.WithOracle(oracle)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, adv *guide.Advisor) {
+		t.Helper()
+		pruned := 0
+		for _, p := range dataset.PaperProblems() {
+			for _, obj := range []guide.Objective{guide.ShortestTime, guide.Budget} {
+				want, wantErr := adv.Recommend(p, obj, oracle)
+				got, err := router.Recommend("aurora", p, obj)
+				if (err == nil) != (wantErr == nil) || got != want {
+					t.Fatalf("%s: %v/%v = %+v (err %v), oracle-pruned advisor = %+v (err %v)",
+						stage, p, obj, got, err, want, wantErr)
+				}
+				if unpruned, err := adv.Recommend(p, obj, nil); err == nil && unpruned != want {
+					pruned++
+				}
+			}
+		}
+		if pruned == 0 {
+			t.Fatalf("%s: the oracle changed no answer, so the check cannot tell a dropped oracle", stage)
+		}
+	}
+
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("boot", cfg.BaseAdvisor)
+	tripCycle(t, c, 200)
+	if err := c.Advance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if c.Incumbent() == "base" {
+		t.Fatal("setup: no promotion")
+	}
+	check("promotion", c.incumbent)
+	observeN(t, c, cfg.RollbackWindow, 400)
+	if err := c.Advance(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if c.Incumbent() != "base" {
+		t.Fatalf("setup: no rollback, incumbent %s", c.Incumbent())
+	}
+	check("rollback", cfg.BaseAdvisor)
+	c.Close()
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	check("resume", cfg.BaseAdvisor)
 }
 
 // TestAdvanceIdle: with no drift there is nothing to do.
