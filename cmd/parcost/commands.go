@@ -34,7 +34,7 @@ func parseQueryFlags(args []string, withConfig, needProblem bool) (*queryFlags, 
 	qf := &queryFlags{}
 	fs.StringVar(&qf.data, "data", "", "dataset CSV")
 	fs.StringVar(&qf.machine, "machine", "aurora", "machine")
-	fs.StringVar(&qf.model, "model", "", "trained advisor artifact (from `parcost train`); skips refitting")
+	fs.StringVar(&qf.model, "model", "", "one-machine fleet bundle (from `parcost train -machine`); skips refitting")
 	fs.IntVar(&qf.o, "o", 0, "occupied orbitals")
 	fs.IntVar(&qf.v, "v", 0, "virtual orbitals")
 	if withConfig {

@@ -8,7 +8,7 @@
 //	parcost eval   -data aurora.csv -machine aurora
 //
 // Training and query time can be split: `parcost train` fits once and
-// writes a versioned advisor artifact, which the query commands load with
+// writes a versioned fleet bundle, which the query commands load with
 // -model and `parcost serve` exposes as a concurrent HTTP JSON service:
 //
 //	parcost train -data aurora.csv -machine aurora -out aurora.model.json
@@ -36,8 +36,8 @@ import (
 	"parcost/internal/ml"
 	"parcost/internal/ml/ensemble"
 
-	// Register every model family's artifact kind so any advisor artifact
-	// decodes, not just the GB models this CLI trains.
+	// Register every model family's snapshot kind so any bundle decodes,
+	// not just the GB models this CLI trains.
 	_ "parcost/internal/ml/kernel"
 	_ "parcost/internal/ml/linmodel"
 )
@@ -89,9 +89,9 @@ Commands:
   bq       find (nodes, tile) minimizing node-hours
   predict  predict the iteration time of a specific configuration
   eval     evaluate model accuracy on a held-out split
-  train    fit the model once and write an artifact (-out); -machines a,b
-           trains a whole fleet into one bundle
-  serve    serve stq/bq/predict over HTTP from an artifact or fleet bundle
+  train    fit the model once and write a fleet bundle (-out): one
+           machine, or -machines a,b for a whole fleet
+  serve    serve stq/bq/predict over HTTP from a fleet bundle
            (-model -addr; -warmset pre-sweeps hot keys at startup and saves
            them on graceful shutdown)
   retrain  serve a fleet with closed-loop retraining: drift-watched
@@ -106,7 +106,7 @@ Common flags:
   -data <csv>      dataset CSV (default: simulate for -machine)
   -machine <name>  aurora or frontier (default aurora)
   -machines <a,b>  train: comma-separated machine list (fleet bundle)
-  -model <file>    advisor artifact; query without refitting (stq/bq/predict)
+  -model <file>    one-machine bundle; query without refitting (stq/bq/predict)
   -o, -v           problem size (occupied / virtual orbitals)
   -nodes, -tile    configuration (predict only)
   -trees, -depth   GB hyper-parameters (default 750, 10)

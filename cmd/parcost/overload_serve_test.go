@@ -124,7 +124,7 @@ func TestServeDeadlineHeader(t *testing.T) {
 	base := directFrontend(t, newServeHandler(router, nil))
 	reqBody := map[string]any{"o": 99, "v": 718, "objective": "stq"}
 
-	for _, bad := range []string{"soon", "-20", "0", "1.5"} {
+	for _, bad := range []string{"soon", "-20", "0", "1.5", "10000000000000"} {
 		resp, body := postJSONClient(t, base+"/v1/recommend", reqBody, map[string]string{"X-Parcost-Deadline-Ms": bad})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("deadline %q: status %d, want 400 (%s)", bad, resp.StatusCode, body)

@@ -35,7 +35,7 @@ func runProxy(args []string) error {
 	if *backends == "" {
 		return fmt.Errorf("-backends is required")
 	}
-	if *retries < 0 || *breakerFailures < 1 || *staleCache < 0 || *retryBudget < 0 {
+	if *retries < 0 || *breakerFailures < 1 || *staleCache < 0 || !(*retryBudget >= 0) {
 		return fmt.Errorf("-retries, -retry-budget, and -stale-cache must be non-negative and -breaker-failures positive")
 	}
 	if *timeout <= 0 || *breakerWindow <= 0 || *probeEvery <= 0 || *drain <= 0 {

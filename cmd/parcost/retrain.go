@@ -22,7 +22,7 @@ import (
 func runRetrain(args []string) error {
 	fs := flag.NewFlagSet("retrain", flag.ContinueOnError)
 	var (
-		model    = fs.String("model", "", "trained artifact: fleet bundle or single advisor (required)")
+		model    = fs.String("model", "", "trained fleet bundle, one machine or many (required)")
 		addr     = fs.String("addr", ":8080", "listen address")
 		state    = fs.String("state", "retrain-state", "directory for per-machine journals and promoted artifacts")
 		strategy = fs.String("strategy", "rs", "acquisition strategy: rs, us, or qbc")

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -22,10 +23,10 @@ import (
 	"parcost/internal/machine"
 )
 
-// runServe loads a trained artifact — a multi-machine fleet bundle or a
-// single-advisor artifact — and serves STQ/BQ/predict queries over HTTP,
-// backed by a guide.Router of per-machine Service shards (bounded sweep
-// caches, one fleet-wide sweep semaphore, coalesced concurrent queries).
+// runServe loads a trained fleet bundle (one machine or many) and serves
+// STQ/BQ/predict queries over HTTP, backed by a guide.Router of per-machine
+// Service shards (bounded sweep caches, one fleet-wide sweep semaphore,
+// coalesced concurrent queries).
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
@@ -76,11 +77,11 @@ type fleetShard struct {
 	oracle *guide.SimOracle
 }
 
-// loadFleetRouter loads a trained artifact — a fleet bundle or a
-// single-advisor artifact — and builds the router `parcost serve` and
-// `parcost retrain` answer from: one shard per machine behind adm, pruned
-// by that machine's SimOracle and cached per opts. The router's SwapShard
-// keeps each shard's settings, so retrain promotions answer as serve does.
+// loadFleetRouter loads a trained fleet bundle and builds the router
+// `parcost serve` and `parcost retrain` answer from: one shard per machine
+// behind adm, pruned by that machine's SimOracle and cached per opts. The
+// router's SwapShard keeps each shard's settings, so retrain promotions
+// answer as serve does.
 func loadFleetRouter(path string, adm *admission.Controller, opts ...guide.ServiceOption) (*guide.Router, []fleetShard, error) {
 	entries, _, err := guide.LoadFleet(path)
 	if err != nil {
@@ -134,7 +135,8 @@ func admissionFlags(fs *flag.FlagSet) func() (*admission.Controller, error) {
 		brWindow   = fs.Duration("brownout-window", 0, "sustain interval for entering and leaving brownout (0 = 10x -brownout)")
 	)
 	return func() (*admission.Controller, error) {
-		if *sweepLimit < 0 || *maxQueue < 0 || *rate < 0 || *rateBurst < 0 || *brownout < 0 || *brWindow < 0 {
+		// !(x >= 0) so NaN fails the float checks too.
+		if *sweepLimit < 0 || *maxQueue < 0 || !(*rate >= 0) || !(*rateBurst >= 0) || *brownout < 0 || *brWindow < 0 {
 			return nil, fmt.Errorf("-sweep-limit, -max-queue, -rate, -rate-burst, -brownout, and -brownout-window must be non-negative")
 		}
 		return guide.NewAdmissionController(admission.ControllerConfig{
@@ -229,8 +231,7 @@ func serveUntilShutdown(ctx context.Context, srv *http.Server, ln net.Listener, 
 
 // Request/response schema of the serve endpoints. All bodies are JSON. The
 // machine field routes a query to its fleet shard; it may be omitted when
-// the fleet serves exactly one machine (the pre-fleet single-advisor wire
-// format keeps working unchanged).
+// the fleet serves exactly one machine.
 type recommendRequest struct {
 	Machine   string `json:"machine,omitempty"`
 	O         int    `json:"o"`
@@ -360,7 +361,9 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 		return r.Context(), func() {}, nil
 	}
 	ms, err := strconv.Atoi(h)
-	if err != nil || ms <= 0 {
+	// Past MaxInt64 nanoseconds the Duration would wrap negative and the
+	// request would be abandoned at once instead of refused.
+	if err != nil || ms <= 0 || time.Duration(ms) > math.MaxInt64/time.Millisecond {
 		return nil, nil, fmt.Errorf("%s must be a positive integer of milliseconds (got %q)", deadlineHeader, h)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)

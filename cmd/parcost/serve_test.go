@@ -228,10 +228,10 @@ func testServeEndToEnd(t *testing.T, newFrontend frontendFactory) {
 	}
 }
 
-// TestServeBackCompatSingleArtifact is the backward-compatibility acceptance
-// criterion: a PR 3/PR 4-era single-advisor artifact loads into a one-shard
-// Router, and /v1/recommend WITHOUT a machine field answers bit-identically
-// to the pre-refactor path (the advisor queried directly in process).
+// TestServeBackCompatSingleArtifact: a single-machine artifact — the
+// one-entry fleet bundle `parcost train -machine aurora` writes — loads into
+// a one-shard Router, and /v1/recommend WITHOUT a machine field answers
+// bit-identically to the advisor queried directly in process.
 func TestServeBackCompatSingleArtifact(t *testing.T) {
 	forEachFrontend(t, testServeBackCompatSingleArtifact)
 }
@@ -239,9 +239,7 @@ func TestServeBackCompatSingleArtifact(t *testing.T) {
 func testServeBackCompatSingleArtifact(t *testing.T, newFrontend frontendFactory) {
 	adv, oracle := testAdvisor(t, machine.Aurora())
 	path := filepath.Join(t.TempDir(), "advisor.json")
-	// The single-advisor format is unchanged since PR 3: SaveAdvisor writes
-	// exactly what `parcost train -machine aurora` wrote before fleets.
-	if err := guide.SaveAdvisor(path, adv, "aurora"); err != nil {
+	if err := guide.SaveBundle(path, []guide.FleetEntry{{Machine: "aurora", Advisor: adv}}, guide.BundleMeta{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,10 +275,10 @@ func testServeBackCompatSingleArtifact(t *testing.T, newFrontend frontendFactory
 			if err := json.Unmarshal(body, &rec); err != nil {
 				t.Fatal(err)
 			}
-			// Bit-identical: the exact floats the pre-refactor path produced.
+			// Bit-identical: the exact floats the in-process advisor gives.
 			if rec.Nodes != want.Config.Nodes || rec.Tile != want.Config.TileSize ||
 				rec.PredSeconds != want.PredTime || rec.PredValue != want.PredValue {
-				t.Fatalf("backcompat %v/%s: HTTP %+v, pre-refactor %+v", p, objName, rec, want)
+				t.Fatalf("single-machine %v/%s: HTTP %+v, in-process %+v", p, objName, rec, want)
 			}
 		}
 	}

@@ -13,22 +13,18 @@ import (
 // now is the command clock; tests substitute a fake to pin TrainedAt stamps.
 var now = time.Now
 
-// runTrain fits the paper's GB model and writes the artifact that
-// stq/bq/predict/serve load, splitting training time from query time.
-//
-// Two shapes:
-//
-//   - `-machine a` (default): one advisor, written in the single-advisor
-//     artifact format (unchanged since PR 3; everything still loads it).
-//   - `-machines a,b`: one advisor per machine fitted in a single run, all
-//     written into one fleet bundle that `serve` hosts behind one endpoint.
+// runTrain fits the paper's GB model and writes the fleet bundle that
+// stq/bq/predict/serve/retrain load, splitting training time from query
+// time. `-machine a` (default) writes a one-entry fleet; `-machines a,b`
+// fits one advisor per machine in a single run, all written into one
+// bundle that `serve` hosts behind one endpoint.
 func runTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	var (
 		data         = fs.String("data", "", "dataset CSV (default: simulate for -machine; single-machine only)")
-		machineName  = fs.String("machine", "aurora", "machine (single-advisor artifact)")
-		machineNames = fs.String("machines", "", "comma-separated machines, e.g. aurora,frontier (fleet bundle)")
-		out          = fs.String("out", "", "output artifact path (required)")
+		machineName  = fs.String("machine", "aurora", "machine (one-entry fleet bundle)")
+		machineNames = fs.String("machines", "", "comma-separated machines, e.g. aurora,frontier (one bundle entry each)")
+		out          = fs.String("out", "", "output fleet bundle path (required)")
 		trees        = fs.Int("trees", 750, "GB estimators")
 		depth        = fs.Int("depth", 10, "GB max depth")
 		seed         = fs.Uint64("seed", 1, "seed")
@@ -46,57 +42,42 @@ func runTrain(args []string) error {
 	if *genSize <= 0 {
 		return fmt.Errorf("-gensize must be positive (got %d)", *genSize)
 	}
-	if *machineNames == "" {
-		d, spec, err := loadOrGenerate(*data, *machineName, *seed, *genSize)
-		if err != nil {
-			return err
+	names := []string{*machineName}
+	if *machineNames != "" {
+		// A CSV names one machine's measurements, so it cannot feed a
+		// multi-machine fleet; each machine's dataset is simulated. Setting
+		// -machine alongside -machines would silently lose, so reject it.
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if set["machine"] {
+			return fmt.Errorf("-machine has no effect with -machines; name every machine in -machines")
 		}
-		adv, err := guide.NewAdvisor(buildGB(*trees, *depth, *seed), d)
-		if err != nil {
-			return err
+		if set["data"] {
+			return fmt.Errorf("-data is single-machine; fleet training simulates each machine's dataset")
 		}
-		if err := guide.SaveAdvisor(*out, adv, spec.Name); err != nil {
-			return err
+		// Validate EVERY machine name before fitting anything: training is
+		// minutes per machine, so a typo in the last name must not waste
+		// the fits that came before it.
+		names = nil
+		seen := map[string]bool{}
+		for _, name := range strings.Split(*machineNames, ",") {
+			name = strings.TrimSpace(name)
+			if name == "" {
+				return fmt.Errorf("-machines has an empty entry (got %q)", *machineNames)
+			}
+			if seen[name] {
+				return fmt.Errorf("-machines lists %q twice", name)
+			}
+			seen[name] = true
+			if _, err := machine.ByName(name); err != nil {
+				return err
+			}
+			names = append(names, name)
 		}
-		fmt.Printf("Trained %s on %d %s records (grid %d nodes × %d tiles)\n",
-			adv.Model.Name(), d.Len(), spec.Name, len(adv.Grid.Nodes), len(adv.Grid.TileSizes))
-		fmt.Printf("Artifact written to %s\n", *out)
-		return nil
-	}
-
-	// Fleet path. A CSV names one machine's measurements, so it cannot feed a
-	// multi-machine fleet; each machine's dataset is simulated. Setting
-	// -machine alongside -machines would silently lose, so reject it.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["machine"] {
-		return fmt.Errorf("-machine has no effect with -machines; name every machine in -machines")
-	}
-	if set["data"] {
-		return fmt.Errorf("-data is single-machine; fleet training simulates each machine's dataset")
-	}
-	// Validate EVERY machine name before fitting anything: training is
-	// minutes per machine, so a typo in the last name must not waste the
-	// fits that came before it.
-	var names []string
-	seen := map[string]bool{}
-	for _, name := range strings.Split(*machineNames, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return fmt.Errorf("-machines has an empty entry (got %q)", *machineNames)
-		}
-		if seen[name] {
-			return fmt.Errorf("-machines lists %q twice", name)
-		}
-		seen[name] = true
-		if _, err := machine.ByName(name); err != nil {
-			return err
-		}
-		names = append(names, name)
 	}
 	var entries []guide.FleetEntry
 	for _, name := range names {
-		d, spec, err := loadOrGenerate("", name, *seed, *genSize)
+		d, spec, err := loadOrGenerate(*data, name, *seed, *genSize)
 		if err != nil {
 			return err
 		}
@@ -108,13 +89,14 @@ func runTrain(args []string) error {
 		fmt.Printf("Trained %s on %d %s records (grid %d nodes × %d tiles)\n",
 			adv.Model.Name(), d.Len(), spec.Name, len(adv.Grid.Nodes), len(adv.Grid.TileSizes))
 	}
-	meta := guide.BundleMeta{
-		TrainedAt: now().UTC().Format(time.RFC3339),
-		Source:    fmt.Sprintf("simulated seed=%d trees=%d depth=%d", *seed, *trees, *depth),
+	source := fmt.Sprintf("simulated seed=%d trees=%d depth=%d", *seed, *trees, *depth)
+	if *data != "" {
+		source = fmt.Sprintf("data=%s trees=%d depth=%d", *data, *trees, *depth)
 	}
+	meta := guide.BundleMeta{TrainedAt: now().UTC().Format(time.RFC3339), Source: source}
 	if err := guide.SaveBundle(*out, entries, meta); err != nil {
 		return err
 	}
-	fmt.Printf("Fleet bundle (%d machines) written to %s\n", len(entries), *out)
+	fmt.Printf("Fleet bundle (%s) written to %s\n", strings.Join(names, ","), *out)
 	return nil
 }

@@ -116,7 +116,7 @@ func ParseHedge(s string) (HedgeSpec, error) {
 	}
 	if strings.HasSuffix(s, "p") {
 		pct, err := strconv.ParseFloat(strings.TrimSuffix(s, "p"), 64)
-		if err != nil || pct <= 0 || pct > 100 {
+		if err != nil || !(pct > 0 && pct <= 100) { // NaN fails both comparisons
 			return HedgeSpec{}, fmt.Errorf("fleetproxy: hedge percentile %q must be like \"95p\" with 0 < p <= 100", s)
 		}
 		return HedgeSpec{Percentile: pct}, nil

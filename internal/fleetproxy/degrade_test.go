@@ -68,6 +68,7 @@ func TestParseHedge(t *testing.T) {
 		{in: "2s", want: HedgeSpec{Fixed: 2 * time.Second}},
 		{in: "0p", wantErr: true},
 		{in: "101p", wantErr: true},
+		{in: "NaNp", wantErr: true},
 		{in: "-5ms", wantErr: true},
 		{in: "banana", wantErr: true},
 	}

@@ -1,27 +1,44 @@
 package guide
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"parcost/internal/dataset"
+	"parcost/internal/ml"
 )
 
-// Fleet bundles hold N named advisor artifacts — machine → advisor — in one
-// checksummed envelope, so `parcost train -machines a,b` emits a whole fleet
-// in one file and `parcost serve` hosts it from one process. Each entry
-// embeds a complete single-advisor artifact (its own format/version/checksum
-// envelope), and the bundle adds shared metadata plus a whole-payload
-// checksum on top: corruption anywhere — metadata, entry name, or any
-// nested advisor — is rejected at load.
+// A fleet bundle is the one guide artifact format. It holds everything
+// query time needs — per machine, the candidate grid and the fitted model's
+// state — so `parcost train` can fit once and `parcost stq/bq/serve/retrain`
+// answer queries without the dataset or a refit. `train -machines a,b`
+// writes one entry per machine and `train -machine a` a one-entry fleet.
+//
+// The file is one envelope with one sha256 over the whole payload, so
+// corruption anywhere — metadata, an entry's machine name or grid, or any
+// model state — is rejected at load. Other formats and versions, such as
+// version 1 bundles and the older parcost-advisor files, are refused with a
+// FormatError rather than read.
 const (
 	FleetBundleFormat  = "parcost-fleet"
-	FleetBundleVersion = 1
+	FleetBundleVersion = 2
 )
+
+// envelope is the on-disk wrapper of a fleet bundle.
+type envelope struct {
+	Format   string          `json:"format"`
+	Version  int             `json:"version"`
+	Checksum string          `json:"checksum"` // sha256 hex of the payload bytes
+	Payload  json.RawMessage `json:"payload"`
+}
 
 // BundleMeta is the shared, informational metadata stored beside a bundle's
 // entries: when the fleet was trained and where its datasets came from.
 // It does not affect serving; provenance that DOES (each shard's candidate
-// grid and machine name) lives inside the per-entry advisor artifacts.
+// grid and machine name) lives in the entries.
 type BundleMeta struct {
 	TrainedAt string `json:"trained_at,omitempty"` // RFC3339
 	Source    string `json:"source,omitempty"`     // dataset/grid provenance, e.g. "simulated seed=1"
@@ -34,19 +51,40 @@ type FleetEntry struct {
 }
 
 // fleetPayload is the checksummed content of a bundle's envelope.
-// AdvisorFormat/AdvisorVersion declare the format of every nested entry so a
-// reader can reject a bundle of artifacts it cannot decode before unwrapping
-// any of them.
 type fleetPayload struct {
-	Meta           BundleMeta       `json:"meta"`
-	AdvisorFormat  string           `json:"advisor_format"`
-	AdvisorVersion int              `json:"advisor_version"`
-	Entries        []fleetEntryJSON `json:"entries"`
+	Meta    BundleMeta       `json:"meta"`
+	Entries []fleetEntryJSON `json:"entries"`
 }
 
 type fleetEntryJSON struct {
-	Machine string          `json:"machine"`
-	Advisor json.RawMessage `json:"advisor"` // complete parcost-advisor artifact
+	Machine string        `json:"machine"`
+	Grid    dataset.Grid  `json:"grid"`
+	Model   ml.ModelState `json:"model"`
+}
+
+// FormatError reports an artifact this reader does not decode: another
+// format, or another version of the fleet bundle.
+type FormatError struct {
+	Format  string
+	Version int
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("guide: artifact format %q version %d not supported (reader handles %q version %d); re-run `parcost train` to rewrite it",
+		e.Format, e.Version, FleetBundleFormat, FleetBundleVersion)
+}
+
+// checkMachine rejects an empty machine name or one already in seen, and
+// records it.
+func checkMachine(seen map[string]bool, name string) error {
+	if name == "" {
+		return fmt.Errorf("guide: bundle entry with empty machine name")
+	}
+	if seen[name] {
+		return fmt.Errorf("guide: duplicate bundle entry for machine %q", name)
+	}
+	seen[name] = true
+	return nil
 }
 
 // EncodeBundle captures a fleet of fitted advisors into bundle bytes. Every
@@ -55,47 +93,53 @@ func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("guide: EncodeBundle requires at least one entry")
 	}
-	payload := fleetPayload{
-		Meta:           meta,
-		AdvisorFormat:  AdvisorArtifactFormat,
-		AdvisorVersion: AdvisorArtifactVersion,
-	}
+	payload := fleetPayload{Meta: meta, Entries: make([]fleetEntryJSON, 0, len(entries))}
 	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
-		if e.Machine == "" {
-			return nil, fmt.Errorf("guide: bundle entry with empty machine name")
+		if err := checkMachine(seen, e.Machine); err != nil {
+			return nil, err
 		}
-		if seen[e.Machine] {
-			return nil, fmt.Errorf("guide: duplicate bundle entry for machine %q", e.Machine)
+		if e.Advisor == nil || e.Advisor.Model == nil {
+			return nil, fmt.Errorf("guide: bundle entry %q has no fitted advisor", e.Machine)
 		}
-		seen[e.Machine] = true
-		art, err := EncodeAdvisor(e.Advisor, e.Machine)
+		model, err := ml.EncodeModel(e.Advisor.Model)
 		if err != nil {
 			return nil, fmt.Errorf("guide: encoding bundle entry %q: %w", e.Machine, err)
 		}
-		payload.Entries = append(payload.Entries, fleetEntryJSON{Machine: e.Machine, Advisor: art})
+		payload.Entries = append(payload.Entries, fleetEntryJSON{Machine: e.Machine, Grid: e.Advisor.Grid, Model: model})
 	}
-	return bundleEnvelope.seal(payload)
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(raw)
+	return json.Marshal(envelope{
+		Format:   FleetBundleFormat,
+		Version:  FleetBundleVersion,
+		Checksum: hex.EncodeToString(sum[:]),
+		Payload:  raw,
+	})
 }
 
-// DecodeBundle validates a fleet bundle (format, version, payload checksum,
-// then every nested advisor artifact) and rebuilds its advisors in entry
-// order. A corrupted entry anywhere in the fleet fails the whole load: a
-// serve process must not come up answering one machine correctly and
-// another from corrupt state.
-func DecodeBundle(data []byte) ([]FleetEntry, BundleMeta, error) {
+// DecodeFleet validates a fleet bundle (format, version, payload checksum,
+// then every entry) and rebuilds its advisors in entry order. A bad entry
+// anywhere in the fleet fails the whole load: a serve process must not come
+// up answering one machine correctly and another from corrupt state.
+func DecodeFleet(data []byte) ([]FleetEntry, BundleMeta, error) {
+	var env envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet bundle: %w", err)
+	}
+	if env.Format != FleetBundleFormat || env.Version != FleetBundleVersion {
+		return nil, BundleMeta{}, &FormatError{Format: env.Format, Version: env.Version}
+	}
+	sum := sha256.Sum256(env.Payload)
+	if hex.EncodeToString(sum[:]) != env.Checksum {
+		return nil, BundleMeta{}, fmt.Errorf("guide: fleet bundle checksum mismatch (corrupt bundle?)")
+	}
 	var payload fleetPayload
-	if err := bundleEnvelope.decode(data, &payload); err != nil {
-		return nil, BundleMeta{}, err
-	}
-	return payload.fleet()
-}
-
-// fleet rebuilds the advisors an opened bundle payload holds.
-func (payload *fleetPayload) fleet() ([]FleetEntry, BundleMeta, error) {
-	if payload.AdvisorFormat != AdvisorArtifactFormat || payload.AdvisorVersion != AdvisorArtifactVersion {
-		return nil, BundleMeta{}, fmt.Errorf("guide: bundle declares nested artifacts %q v%d (reader handles %q v%d)",
-			payload.AdvisorFormat, payload.AdvisorVersion, AdvisorArtifactFormat, AdvisorArtifactVersion)
+	if err := json.Unmarshal(env.Payload, &payload); err != nil {
+		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet payload: %w", err)
 	}
 	if len(payload.Entries) == 0 {
 		return nil, BundleMeta{}, fmt.Errorf("guide: fleet bundle has no entries")
@@ -103,22 +147,17 @@ func (payload *fleetPayload) fleet() ([]FleetEntry, BundleMeta, error) {
 	entries := make([]FleetEntry, 0, len(payload.Entries))
 	seen := make(map[string]bool, len(payload.Entries))
 	for _, e := range payload.Entries {
-		if e.Machine == "" {
-			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry with empty machine name")
+		if err := checkMachine(seen, e.Machine); err != nil {
+			return nil, BundleMeta{}, err
 		}
-		if seen[e.Machine] {
-			return nil, BundleMeta{}, fmt.Errorf("guide: duplicate bundle entry for machine %q", e.Machine)
+		if len(e.Grid.Nodes) == 0 || len(e.Grid.TileSizes) == 0 {
+			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q has an empty candidate grid", e.Machine)
 		}
-		seen[e.Machine] = true
-		adv, machineName, err := DecodeAdvisor(e.Advisor)
+		model, err := ml.DecodeModel(e.Model)
 		if err != nil {
 			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q: %w", e.Machine, err)
 		}
-		if machineName != e.Machine {
-			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q wraps an advisor trained for %q",
-				e.Machine, machineName)
-		}
-		entries = append(entries, FleetEntry{Machine: e.Machine, Advisor: adv})
+		entries = append(entries, FleetEntry{Machine: e.Machine, Advisor: &Advisor{Model: model, Grid: e.Grid}})
 	}
 	return entries, payload.Meta, nil
 }
@@ -132,47 +171,25 @@ func SaveBundle(path string, entries []FleetEntry, meta BundleMeta) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// DecodeFleet accepts either artifact generation: a fleet bundle decodes to
-// its entries, and a single-advisor artifact (the PR 3 format every
-// pre-fleet `parcost train` emitted) decodes to a one-entry fleet named by
-// its recorded machine. This is what keeps existing artifacts loading
-// unchanged behind the Router.
-func DecodeFleet(data []byte) ([]FleetEntry, BundleMeta, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, BundleMeta{}, fmt.Errorf("guide: malformed artifact: %w", err)
-	}
-	switch env.Format {
-	case FleetBundleFormat:
-		var payload fleetPayload
-		if err := bundleEnvelope.open(&env, &payload); err != nil {
-			return nil, BundleMeta{}, err
-		}
-		return payload.fleet()
-	case AdvisorArtifactFormat:
-		var payload advisorPayload
-		if err := advisorEnvelope.open(&env, &payload); err != nil {
-			return nil, BundleMeta{}, err
-		}
-		adv, machineName, err := payload.advisor()
-		if err != nil {
-			return nil, BundleMeta{}, err
-		}
-		return []FleetEntry{{Machine: machineName, Advisor: adv}}, BundleMeta{}, nil
-	case "":
-		return nil, BundleMeta{}, fmt.Errorf("guide: artifact has no format tag")
-	default:
-		return nil, BundleMeta{}, fmt.Errorf("guide: artifact format %q is neither %q nor %q",
-			env.Format, FleetBundleFormat, AdvisorArtifactFormat)
-	}
-}
-
-// LoadFleet reads a fleet from a file holding either a fleet bundle or a
-// single-advisor artifact (see DecodeFleet).
+// LoadFleet reads a fleet bundle from a file.
 func LoadFleet(path string) ([]FleetEntry, BundleMeta, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, BundleMeta{}, err
 	}
 	return DecodeFleet(data)
+}
+
+// LoadAdvisor reads a fleet bundle that holds exactly one machine — what
+// `parcost train -machine a` writes — and returns its advisor and machine
+// name. The query commands and the retrain lineage answer from one model.
+func LoadAdvisor(path string) (*Advisor, string, error) {
+	entries, _, err := LoadFleet(path)
+	if err != nil {
+		return nil, "", err
+	}
+	if len(entries) != 1 {
+		return nil, "", fmt.Errorf("guide: %s holds %d machines, want exactly one", path, len(entries))
+	}
+	return entries[0].Advisor, entries[0].Machine, nil
 }

@@ -1,10 +1,14 @@
 package guide
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,9 +53,26 @@ func TestBundleRoundTrip(t *testing.T) {
 	if len(loaded) != len(entries) {
 		t.Fatalf("loaded %d entries, want %d", len(loaded), len(entries))
 	}
+	full := dataset.DefaultGrid()
 	for i, e := range entries {
 		if loaded[i].Machine != e.Machine {
 			t.Fatalf("entry %d machine %q, want %q (order must be preserved)", i, loaded[i].Machine, e.Machine)
+		}
+		if !reflect.DeepEqual(loaded[i].Advisor.Grid, e.Advisor.Grid) {
+			t.Fatalf("%s: grid %+v, want %+v", e.Machine, loaded[i].Advisor.Grid, e.Advisor.Grid)
+		}
+		// Every paper problem × the full candidate grid predicts bit for bit.
+		for _, p := range dataset.PaperProblems() {
+			var rows [][]float64
+			for _, c := range full.Configs(p) {
+				rows = append(rows, c.Features())
+			}
+			want, got := e.Advisor.Model.Predict(rows), loaded[i].Advisor.Model.Predict(rows)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%s %v row %d: loaded predicts %v, in-process %v", e.Machine, p, j, got[j], want[j])
+				}
+			}
 		}
 		oracle := NewSimOracle(mustSpec(t, e.Machine))
 		for _, obj := range []Objective{ShortestTime, Budget} {
@@ -81,90 +102,60 @@ func mustSpec(t *testing.T, name string) machine.Spec {
 	return spec
 }
 
-// TestLoadFleetSingleAdvisorArtifact pins backward compatibility: a PR 3-era
-// single-advisor artifact loads as a one-entry fleet named by its recorded
-// machine.
+// TestLoadFleetSingleAdvisorArtifact pins that older artifact files are
+// refused, not read: a parcost-advisor file (one advisor, what `parcost
+// train -machine` wrote before fleet bundles became the only format) and a
+// version 1 fleet bundle, both written by that older code. Each fails with
+// a FormatError naming its format and version and pointing at `parcost
+// train`, through LoadFleet and LoadAdvisor alike.
 func TestLoadFleetSingleAdvisorArtifact(t *testing.T) {
-	adv, oracle := serviceAdvisor(t)
-	path := filepath.Join(t.TempDir(), "advisor.json")
-	if err := SaveAdvisor(path, adv, "aurora"); err != nil {
-		t.Fatal(err)
-	}
-	entries, meta, err := LoadFleet(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Machine != "aurora" {
-		t.Fatalf("fleet from single artifact = %+v", entries)
-	}
-	if meta != (BundleMeta{}) {
-		t.Fatalf("single artifact carries no bundle meta, got %+v", meta)
-	}
-	p := dataset.Problem{O: 146, V: 1096}
-	want, err := adv.Recommend(p, ShortestTime, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := entries[0].Advisor.Recommend(p, ShortestTime, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("fleet-loaded single advisor diverged: %+v vs %+v", got, want)
-	}
-
-	// A fleet bundle also loads through the same entry point.
-	bundlePath := filepath.Join(t.TempDir(), "fleet.json")
-	if err := SaveBundle(bundlePath, []FleetEntry{{Machine: "aurora", Advisor: adv}}, BundleMeta{}); err != nil {
-		t.Fatal(err)
-	}
-	entries, _, err = LoadFleet(bundlePath)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("LoadFleet on a bundle: %v (%d entries)", err, len(entries))
+	for _, tc := range []struct {
+		file, format string
+		version      int
+	}{
+		{"advisor_v1.json", "parcost-advisor", 1},
+		{"fleet_v1.json", FleetBundleFormat, 1},
+	} {
+		path := filepath.Join("testdata", tc.file)
+		_, _, fleetErr := LoadFleet(path)
+		_, _, advErr := LoadAdvisor(path)
+		for _, err := range []error{fleetErr, advErr} {
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("%s: error %v, want a FormatError", tc.file, err)
+			}
+			if fe.Format != tc.format || fe.Version != tc.version {
+				t.Fatalf("%s: FormatError %+v, want %q v%d", tc.file, fe, tc.format, tc.version)
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.format) || !strings.Contains(msg, "parcost train") {
+				t.Fatalf("%s: error %q does not name the format and the fix", tc.file, msg)
+			}
+		}
 	}
 }
 
-// corruptOneEntry rebuilds a valid bundle envelope whose OUTER checksum is
-// correct but whose named nested advisor artifact is tampered, isolating the
-// per-entry integrity check from the whole-payload one.
-func corruptOneEntry(t *testing.T, data []byte, machineName string) []byte {
+// reseal rebuilds a bundle after mutate edits its envelope and payload,
+// with a checksum that matches the edited payload, so the check under test
+// is the one after the checksum.
+func reseal(t *testing.T, data []byte, mutate func(*envelope, *fleetPayload)) []byte {
 	t.Helper()
 	var b envelope
 	if err := json.Unmarshal(data, &b); err != nil {
 		t.Fatal(err)
 	}
-	var payload fleetPayload
-	if err := json.Unmarshal(b.Payload, &payload); err != nil {
+	var p fleetPayload
+	if err := json.Unmarshal(b.Payload, &p); err != nil {
 		t.Fatal(err)
 	}
-	tampered := false
-	for i, e := range payload.Entries {
-		if e.Machine != machineName {
-			continue
-		}
-		// Flip one digit inside the nested advisor's payload (past its own
-		// envelope fields so the nested checksum is what catches it).
-		s := string(e.Advisor)
-		idx := strings.LastIndexAny(s, "0123456789")
-		if idx < 0 {
-			t.Fatal("no digit to tamper in nested advisor")
-		}
-		flipped := byte('0' + (s[idx]-'0'+1)%10)
-		payload.Entries[i].Advisor = json.RawMessage(s[:idx] + string(flipped) + s[idx+1:])
-		tampered = true
-	}
-	if !tampered {
-		t.Fatalf("no entry for %q to tamper", machineName)
-	}
-	raw, err := json.Marshal(payload)
+	mutate(&b, &p)
+	raw, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(raw)
-	out, err := json.Marshal(envelope{
-		Format: b.Format, Version: b.Version,
-		Checksum: hex.EncodeToString(sum[:]), Payload: raw,
-	})
+	b.Checksum = hex.EncodeToString(sum[:])
+	b.Payload = raw
+	out, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +171,14 @@ func TestBundleRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeBundle(data); err != nil {
+	if _, _, err := DecodeFleet(data); err != nil {
 		t.Fatalf("control bundle failed: %v", err)
 	}
 
-	if _, _, err := DecodeBundle([]byte("not json")); err == nil {
+	if _, _, err := DecodeFleet([]byte("not json")); err == nil {
 		t.Fatal("malformed bundle accepted")
 	}
-	if _, _, err := DecodeBundle(data[:len(data)/2]); err == nil {
+	if _, _, err := DecodeFleet(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated bundle accepted")
 	}
 
@@ -196,39 +187,13 @@ func TestBundleRejections(t *testing.T) {
 	if string(wholeTamper) == string(data) {
 		t.Fatal("tamper target not found")
 	}
-	if _, _, err := DecodeBundle(wholeTamper); err == nil {
+	if _, _, err := DecodeFleet(wholeTamper); err == nil {
 		t.Fatal("payload-tampered bundle accepted")
 	}
 
-	// Per-entry tamper with a RECOMPUTED outer checksum: the nested advisor
-	// checksum must still reject it — for either shard.
+	// A flipped byte inside either entry's model state, checksum left as
+	// it was, fails the one checksum.
 	for _, machineName := range []string{"aurora", "frontier"} {
-		bad := corruptOneEntry(t, data, machineName)
-		if _, _, err := DecodeBundle(bad); err == nil {
-			t.Fatalf("bundle with corrupted %q entry accepted", machineName)
-		} else if !strings.Contains(err.Error(), machineName) {
-			t.Fatalf("corrupt-entry error does not name the shard: %v", err)
-		}
-	}
-
-	// Envelope-level rejections.
-	for name, mutate := range map[string]func(*envelope, *fleetPayload){
-		"wrong format":   func(b *envelope, p *fleetPayload) { b.Format = "parcost-advisor" },
-		"future version": func(b *envelope, p *fleetPayload) { b.Version = 99 },
-		"nested format": func(b *envelope, p *fleetPayload) {
-			p.AdvisorFormat = "parcost-other"
-		},
-		"nested version": func(b *envelope, p *fleetPayload) {
-			p.AdvisorVersion = 99
-		},
-		"no entries": func(b *envelope, p *fleetPayload) { p.Entries = nil },
-		"duplicate machine": func(b *envelope, p *fleetPayload) {
-			p.Entries = append(p.Entries, p.Entries[0])
-		},
-		"mismatched machine": func(b *envelope, p *fleetPayload) {
-			p.Entries[0].Machine = "frontier-two"
-		},
-	} {
 		var b envelope
 		if err := json.Unmarshal(data, &b); err != nil {
 			t.Fatal(err)
@@ -237,19 +202,51 @@ func TestBundleRejections(t *testing.T) {
 		if err := json.Unmarshal(b.Payload, &p); err != nil {
 			t.Fatal(err)
 		}
-		mutate(&b, &p)
-		raw, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
+		idx := -1
+		for i, e := range p.Entries {
+			if e.Machine == machineName {
+				idx = i
+			}
 		}
-		sum := sha256.Sum256(raw)
-		b.Checksum = hex.EncodeToString(sum[:])
-		b.Payload = raw
+		st := p.Entries[idx].Model.State
+		at := bytes.Index(b.Payload, st) + bytes.LastIndexAny(st, "0123456789")
+		b.Payload[at] = '0' + (b.Payload[at]-'0'+1)%10
 		bad, err := json.Marshal(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeBundle(bad); err == nil {
+		if _, _, err := DecodeFleet(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("%s state byte flip: %v, want a checksum error", machineName, err)
+		}
+	}
+
+	// A malformed entry state under a valid checksum is rejected by the
+	// state decoder, naming the shard.
+	for i, machineName := range []string{"aurora", "frontier"} {
+		bad := reseal(t, data, func(_ *envelope, p *fleetPayload) {
+			p.Entries[i].Model.State = json.RawMessage(`{"num_trees":1,"trees":[null]}`)
+		})
+		if _, _, err := DecodeFleet(bad); err == nil {
+			t.Fatalf("bundle with malformed %q state accepted", machineName)
+		} else if !strings.Contains(err.Error(), machineName) {
+			t.Fatalf("malformed-state error does not name the shard: %v", err)
+		}
+	}
+
+	// Payload-level rejections under a valid checksum.
+	for name, mutate := range map[string]func(*envelope, *fleetPayload){
+		"no entries": func(_ *envelope, p *fleetPayload) { p.Entries = nil },
+		"duplicate machine": func(_ *envelope, p *fleetPayload) {
+			p.Entries = append(p.Entries, p.Entries[0])
+		},
+		"empty machine":  func(_ *envelope, p *fleetPayload) { p.Entries[1].Machine = "" },
+		"empty grid":     func(_ *envelope, p *fleetPayload) { p.Entries[0].Grid.Nodes = nil },
+		"unknown kind":   func(_ *envelope, p *fleetPayload) { p.Entries[0].Model.Kind = "ml.does-not-exist" },
+		"wrong format":   func(b *envelope, _ *fleetPayload) { b.Format = "some-other-format" },
+		"future version": func(b *envelope, _ *fleetPayload) { b.Version = FleetBundleVersion + 1 },
+		"v1 version":     func(b *envelope, _ *fleetPayload) { b.Version = 1 },
+	} {
+		if _, _, err := DecodeFleet(reseal(t, data, mutate)); err == nil {
 			t.Fatalf("%s bundle accepted", name)
 		}
 	}
@@ -265,11 +262,11 @@ func TestBundleRejections(t *testing.T) {
 		t.Fatal("duplicate machines encoded")
 	}
 
-	// DecodeFleet rejects artifacts of neither format.
-	if _, _, err := DecodeFleet([]byte(`{"format":"parcost-mystery","version":1}`)); err == nil {
-		t.Fatal("unknown-format artifact accepted by DecodeFleet")
-	}
-	if _, _, err := DecodeFleet([]byte(`{}`)); err == nil {
-		t.Fatal("format-less artifact accepted by DecodeFleet")
+	// Envelopes of another format, or none, are FormatErrors.
+	for _, raw := range []string{`{"format":"parcost-mystery","version":1}`, `{}`} {
+		var fe *FormatError
+		if _, _, err := DecodeFleet([]byte(raw)); !errors.As(err, &fe) {
+			t.Fatalf("%s: error %v, want a FormatError", raw, err)
+		}
 	}
 }

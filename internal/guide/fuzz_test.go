@@ -2,9 +2,54 @@ package guide
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
+
+// FuzzDecodeFleet: the fleet bundle decoder behind serve, retrain and the
+// query commands never panics, and every fleet it accepts re-encodes to a
+// fixed point. Each input is a format, a version and payload bytes, sealed
+// with a checksum that matches them, so mutations get past the checksum to
+// the payload, entry and model-state decoders. Seeds live under
+// testdata/fuzz/FuzzDecodeFleet (a one-entry tiny-GB fleet, a version 1
+// bundle, a parcost-advisor file, truncated payload bytes).
+func FuzzDecodeFleet(f *testing.F) {
+	f.Fuzz(func(t *testing.T, format string, version int, payload []byte) {
+		entries, meta, err := DecodeFleet(sealPayload(format, version, payload))
+		if err != nil {
+			return
+		}
+		once, err := EncodeBundle(entries, meta)
+		if err != nil {
+			t.Fatalf("encoding a decoded fleet: %v", err)
+		}
+		back, backMeta, err := DecodeFleet(once)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded fleet: %v", err)
+		}
+		twice, err := EncodeBundle(back, backMeta)
+		if err != nil {
+			t.Fatalf("re-encoding twice: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", once, twice)
+		}
+	})
+}
+
+// sealPayload wraps payload bytes, valid JSON or not, in an envelope of the
+// given format and version whose checksum matches them.
+func sealPayload(format string, version int, payload []byte) []byte {
+	tag, _ := json.Marshal(format)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"format":%s,"version":%d,"checksum":"%x","payload":`, tag, version, sha256.Sum256(payload))
+	b.Write(payload)
+	b.WriteString(`}`)
+	return b.Bytes()
+}
 
 // FuzzDecodeWarmSet: the warm-set decoder behind POST /v1/warmset and the
 // serve daemon's -warmset file never panics, and every set it accepts

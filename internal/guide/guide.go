@@ -33,11 +33,12 @@
 //     aggregate CacheStats feed observability; SaveWarmSet/LoadWarmSet
 //     persist the hottest cache keys across restarts and pre-sweep them at
 //     startup.
-//   - Artifacts: Save/LoadAdvisor write one fitted advisor (model +
-//     candidate grid + machine provenance) under a whole-payload checksum;
-//     SaveBundle packs N named advisors plus shared metadata into one
-//     parcost-fleet envelope; LoadFleet accepts either generation, loading
-//     a single-advisor artifact as a one-entry fleet.
+//   - Artifacts: the fleet bundle is the one file format. SaveBundle
+//     writes N named advisors (each a candidate grid plus an ml.ModelState)
+//     and shared metadata under one versioned envelope with one sha256
+//     over the payload; LoadFleet reads it back, and LoadAdvisor reads a
+//     one-entry fleet. Other formats and versions are refused with a
+//     FormatError.
 package guide
 
 import (

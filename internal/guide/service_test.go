@@ -1,7 +1,7 @@
 package guide
 
 import (
-	"bytes"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -252,12 +252,13 @@ func TestRecommendTieBreakFirstMin(t *testing.T) {
 }
 
 // TestAdvisorArtifactRoundTrip is the acceptance criterion: a trained
-// advisor saved to an artifact and loaded back returns recommendations
-// identical to the in-process advisor, across problems and objectives.
+// advisor saved as a one-entry fleet and loaded back through LoadAdvisor
+// returns recommendations identical to the in-process advisor, across
+// problems and objectives.
 func TestAdvisorArtifactRoundTrip(t *testing.T) {
 	adv, oracle := serviceAdvisor(t)
 	path := filepath.Join(t.TempDir(), "advisor.json")
-	if err := SaveAdvisor(path, adv, "aurora"); err != nil {
+	if err := SaveBundle(path, []FleetEntry{{Machine: "aurora", Advisor: adv}}, BundleMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, machineName, err := LoadAdvisor(path)
@@ -324,34 +325,33 @@ func TestServicePanicDoesNotWedgeKey(t *testing.T) {
 	}
 }
 
+// TestAdvisorArtifactRejections: LoadAdvisor reads only a one-entry fleet
+// (a two-machine bundle, a malformed or a truncated file is refused), and
+// an advisor without a snapshot-capable fitted model does not encode.
 func TestAdvisorArtifactRejections(t *testing.T) {
 	adv, _ := serviceAdvisor(t)
-	data, err := EncodeAdvisor(adv, "aurora")
+	data, err := EncodeBundle([]FleetEntry{{Machine: "aurora", Advisor: adv}, {Machine: "frontier", Advisor: adv}}, BundleMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeAdvisor(data); err != nil {
-		t.Fatalf("control artifact failed: %v", err)
+	dir := t.TempDir()
+	for name, content := range map[string][]byte{
+		"two machines": data,
+		"not json":     []byte("not json"),
+		"truncated":    data[:len(data)/2],
+	} {
+		path := filepath.Join(dir, "advisor.json")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadAdvisor(path); err == nil {
+			t.Fatalf("%s: LoadAdvisor accepted it", name)
+		}
 	}
-	if _, _, err := DecodeAdvisor([]byte("not json")); err == nil {
-		t.Fatal("malformed advisor artifact accepted")
-	}
-	if _, _, err := DecodeAdvisor(data[:len(data)/2]); err == nil {
-		t.Fatal("truncated advisor artifact accepted")
-	}
-	// Corruption anywhere in the payload — here the machine name, which
-	// sits outside the nested model envelope — must fail the checksum.
-	tampered := bytes.Replace(data, []byte("aurora"), []byte("borealis"), 1)
-	if bytes.Equal(tampered, data) {
-		t.Fatal("tamper target not found in artifact")
-	}
-	if _, _, err := DecodeAdvisor(tampered); err == nil {
-		t.Fatal("payload-tampered advisor artifact accepted")
-	}
-	if _, err := EncodeAdvisor(nil, "aurora"); err == nil {
+	if _, err := EncodeBundle([]FleetEntry{{Machine: "aurora"}}, BundleMeta{}); err == nil {
 		t.Fatal("nil advisor encoded")
 	}
-	if _, err := EncodeAdvisor(&Advisor{Model: constModel{}}, "aurora"); err == nil {
+	if _, err := EncodeBundle([]FleetEntry{{Machine: "aurora", Advisor: &Advisor{Model: constModel{}}}}, BundleMeta{}); err == nil {
 		t.Fatal("non-snapshot model encoded")
 	}
 }

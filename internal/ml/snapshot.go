@@ -1,8 +1,10 @@
-// Model artifacts: a fitted model's state round-trips through a single
-// versioned, checksummed JSON envelope so training and query time can be
-// split across processes (train once, serve many). Every model family in
-// the library implements Snapshotter; the envelope carries a registered
-// kind string so LoadModel can rebuild the right concrete type.
+// Model snapshots: a fitted model's state round-trips through JSON so
+// training and query time can be split across processes (train once, serve
+// many). Every model family in the library implements Snapshotter and
+// registers a kind string; a ModelState pairs that kind with the state
+// bytes so DecodeModel can rebuild the right concrete type. ModelState is
+// not a file format: guide's fleet bundle embeds one per machine under the
+// bundle's single versioned, checksummed envelope.
 //
 // JSON is the state encoding throughout: Go marshals float64 values with
 // the shortest representation that parses back to the identical bits, so a
@@ -11,18 +13,15 @@
 package ml
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 )
 
 // Snapshotter is a Regressor whose fitted state can be captured into a
 // byte slice and restored later, in another process, with bit-identical
-// predictions. State bytes must be valid JSON (the artifact envelope embeds
-// them verbatim).
+// predictions. State bytes must be valid JSON (a ModelState embeds them
+// verbatim).
 type Snapshotter interface {
 	Regressor
 	// SnapshotKind returns the stable artifact kind identifier this model
@@ -37,21 +36,13 @@ type Snapshotter interface {
 	RestoreState(data []byte) error
 }
 
-// Artifact envelope constants. Version gates the state layout: a reader
-// refuses artifacts written by an incompatible future layout instead of
-// silently mis-restoring them.
-const (
-	ArtifactFormat  = "parcost-model"
-	ArtifactVersion = 1
-)
-
-// Artifact is the on-disk model envelope.
-type Artifact struct {
-	Format   string          `json:"format"`
-	Version  int             `json:"version"`
-	Kind     string          `json:"kind"`
-	Checksum string          `json:"checksum"` // sha256 hex of the state bytes
-	State    json.RawMessage `json:"state"`
+// ModelState is a fitted model as an artifact stores it: the kind its
+// family registered under and its SnapshotState bytes. It carries no
+// envelope of its own; the file holding it (a guide fleet bundle) has the
+// one format tag, version and checksum.
+type ModelState struct {
+	Kind  string          `json:"kind"`
+	State json.RawMessage `json:"state"`
 }
 
 // snapRegistry maps artifact kinds to zero-value model constructors. It is
@@ -82,71 +73,31 @@ func SnapshotKinds() []string {
 	return out
 }
 
-// EncodeModel captures a fitted model into artifact bytes. It errors if the
+// EncodeModel captures a fitted model's kind and state. It errors if the
 // model's family does not implement Snapshotter or the model is unfitted.
-func EncodeModel(m Regressor) ([]byte, error) {
+func EncodeModel(m Regressor) (ModelState, error) {
 	s, ok := m.(Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("ml: model %q does not support snapshots", m.Name())
+		return ModelState{}, fmt.Errorf("ml: model %q does not support snapshots", m.Name())
 	}
 	state, err := s.SnapshotState()
 	if err != nil {
-		return nil, fmt.Errorf("ml: snapshot %q: %w", s.SnapshotKind(), err)
+		return ModelState{}, fmt.Errorf("ml: snapshot %q: %w", s.SnapshotKind(), err)
 	}
-	sum := sha256.Sum256(state)
-	return json.Marshal(Artifact{
-		Format:   ArtifactFormat,
-		Version:  ArtifactVersion,
-		Kind:     s.SnapshotKind(),
-		Checksum: hex.EncodeToString(sum[:]),
-		State:    state,
-	})
+	return ModelState{Kind: s.SnapshotKind(), State: state}, nil
 }
 
-// DecodeModel validates an artifact envelope (format, version, checksum,
-// registered kind) and rebuilds the fitted model. The model's package must
-// be linked into the binary (imported, possibly blank) so its kind is
-// registered.
-func DecodeModel(data []byte) (Snapshotter, error) {
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return nil, fmt.Errorf("ml: malformed model artifact: %w", err)
-	}
-	if art.Format != ArtifactFormat {
-		return nil, fmt.Errorf("ml: artifact format %q, want %q", art.Format, ArtifactFormat)
-	}
-	if art.Version != ArtifactVersion {
-		return nil, fmt.Errorf("ml: artifact version %d not supported (reader handles %d)", art.Version, ArtifactVersion)
-	}
-	sum := sha256.Sum256(art.State)
-	if got := hex.EncodeToString(sum[:]); got != art.Checksum {
-		return nil, fmt.Errorf("ml: artifact state checksum mismatch (corrupt artifact?)")
-	}
-	fn, ok := snapRegistry[art.Kind]
+// DecodeModel rebuilds the fitted model a ModelState describes. The model's
+// package must be linked into the binary (imported, possibly blank) so its
+// kind is registered.
+func DecodeModel(ms ModelState) (Snapshotter, error) {
+	fn, ok := snapRegistry[ms.Kind]
 	if !ok {
-		return nil, fmt.Errorf("ml: unknown model kind %q (registered: %v)", art.Kind, SnapshotKinds())
+		return nil, fmt.Errorf("ml: unknown model kind %q (registered: %v)", ms.Kind, SnapshotKinds())
 	}
 	m := fn()
-	if err := m.RestoreState(art.State); err != nil {
-		return nil, fmt.Errorf("ml: restoring %q: %w", art.Kind, err)
+	if err := m.RestoreState(ms.State); err != nil {
+		return nil, fmt.Errorf("ml: restoring %q: %w", ms.Kind, err)
 	}
 	return m, nil
-}
-
-// SaveModel writes a fitted model's artifact to a file.
-func SaveModel(path string, m Regressor) error {
-	data, err := EncodeModel(m)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadModel reads a model artifact from a file.
-func LoadModel(path string) (Snapshotter, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeModel(data)
 }

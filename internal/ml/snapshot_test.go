@@ -1,8 +1,6 @@
 package ml_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -167,6 +165,9 @@ func TestEncodeModelRejections(t *testing.T) {
 	}
 }
 
+// TestDecodeModelRejectsCorruptArtifacts: model states that cannot be
+// restored are rejected. The envelope checks (format, version, checksum)
+// live with the fleet bundle, the one file format, in internal/guide.
 func TestDecodeModelRejectsCorruptArtifacts(t *testing.T) {
 	x, y := synthXY(80, 6)
 	m := ml.NewKNN(3, false)
@@ -178,65 +179,33 @@ func TestDecodeModelRejectsCorruptArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ml.DecodeModel(good); err != nil {
-		t.Fatalf("control artifact failed to decode: %v", err)
+		t.Fatalf("control state failed to decode: %v", err)
 	}
 
-	mutate := func(fn func(a *ml.Artifact)) []byte {
-		var a ml.Artifact
-		if err := json.Unmarshal(good, &a); err != nil {
-			t.Fatal(err)
-		}
-		fn(&a)
-		out, err := json.Marshal(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	cases := map[string]ml.ModelState{
+		"truncated JSON": {Kind: good.Kind, State: good.State[:len(good.State)/2]},
+		"not JSON":       {Kind: good.Kind, State: json.RawMessage("definitely not a state")},
+		"no state":       {Kind: good.Kind},
+		"unknown kind":   {Kind: "ml.does-not-exist", State: good.State},
+		"garbage state":  {Kind: good.Kind, State: json.RawMessage(`{"k":0}`)},
+		// Tree states whose splits would index past a served row of the
+		// declared width. The controls below show the same shapes decode
+		// when the widths are consistent.
+		"tree with dim 0 splitting on feature 7": {Kind: tree.TreeSnapshotKind, State: json.RawMessage(treeStateJSON(0))},
+		"gb members disagreeing on dim":          {Kind: ensemble.GradientBoostingSnapshotKind, State: json.RawMessage(gbStateJSON(8, 9))},
 	}
-
-	cases := map[string][]byte{
-		"truncated JSON": good[:len(good)/2],
-		"not JSON":       []byte("definitely not an artifact"),
-		"wrong format": mutate(func(a *ml.Artifact) {
-			a.Format = "some-other-format"
-		}),
-		"future version": mutate(func(a *ml.Artifact) {
-			a.Version = ml.ArtifactVersion + 1
-		}),
-		"unknown kind": mutate(func(a *ml.Artifact) {
-			a.Kind = "ml.does-not-exist"
-		}),
-		"flipped state byte": mutate(func(a *ml.Artifact) {
-			s := []byte(a.State)
-			s[len(s)/2] ^= 0x01
-			a.State = s
-		}),
-		"garbage state with fixed checksum": mutate(func(a *ml.Artifact) {
-			a.State = json.RawMessage(`{"k":0}`)
-			a.Checksum = strings.Repeat("0", 64)
-		}),
-	}
-	// Checksum-valid tree states whose splits would index past a served row
-	// of the declared width. The controls below show the same shapes decode
-	// when the widths are consistent.
-	for name, data := range map[string][]byte{
-		"tree with dim 0 splitting on feature 7": sealState(t, tree.TreeSnapshotKind, treeStateJSON(0)),
-		"gb members disagreeing on dim":          sealState(t, ensemble.GradientBoostingSnapshotKind, gbStateJSON(8, 9)),
+	for name, ms := range map[string]ml.ModelState{
+		"tree": {Kind: tree.TreeSnapshotKind, State: json.RawMessage(treeStateJSON(8))},
+		"gb":   {Kind: ensemble.GradientBoostingSnapshotKind, State: json.RawMessage(gbStateJSON(8, 8))},
 	} {
-		cases[name] = data
-	}
-	for name, data := range map[string][]byte{
-		"tree": sealState(t, tree.TreeSnapshotKind, treeStateJSON(8)),
-		"gb":   sealState(t, ensemble.GradientBoostingSnapshotKind, gbStateJSON(8, 8)),
-	} {
-		m, err := ml.DecodeModel(data)
+		m, err := ml.DecodeModel(ms)
 		if err != nil {
 			t.Fatalf("control %s state failed to decode: %v", name, err)
 		}
 		m.Predict([][]float64{make([]float64, 8)})
 	}
-	for name, data := range cases {
-		if _, err := ml.DecodeModel(data); err == nil {
+	for name, ms := range cases {
+		if _, err := ml.DecodeModel(ms); err == nil {
 			t.Errorf("%s: expected decode error, got none", name)
 		}
 	}
@@ -256,22 +225,8 @@ func gbStateJSON(dimA, dimB int) string {
 		treeStateJSON(dimA), treeStateJSON(dimB))
 }
 
-// sealState wraps raw state JSON in a checksum-valid artifact envelope.
-func sealState(t *testing.T, kind, state string) []byte {
-	t.Helper()
-	sum := sha256.Sum256([]byte(state))
-	out, err := json.Marshal(ml.Artifact{
-		Format: ml.ArtifactFormat, Version: ml.ArtifactVersion, Kind: kind,
-		Checksum: hex.EncodeToString(sum[:]), State: json.RawMessage(state),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestDecodeModelRejectsMismatchedState: a checksum-valid envelope whose
-// state doesn't satisfy the model's invariants is rejected by RestoreState.
+// TestDecodeModelRejectsMismatchedState: a well-formed JSON state that
+// doesn't satisfy its model's invariants is rejected by RestoreState.
 func TestDecodeModelRejectsMismatchedState(t *testing.T) {
 	x, y := synthXY(80, 7)
 	m := ml.NewKNN(3, false)
@@ -282,21 +237,10 @@ func TestDecodeModelRejectsMismatchedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a ml.Artifact
-	if err := json.Unmarshal(good, &a); err != nil {
-		t.Fatal(err)
+	// Swapping in a different (valid-JSON) state under the same kind.
+	if _, err := ml.DecodeModel(ml.ModelState{Kind: good.Kind, State: json.RawMessage(`{}`)}); err == nil {
+		t.Fatal("empty KNN state decoded")
 	}
-	// Swapping in a different (valid-JSON) state invalidates the checksum.
-	a.State = json.RawMessage(`{}`)
-	fixed, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ml.DecodeModel(fixed); err == nil {
-		t.Fatal("mismatched checksum should be rejected")
-	}
-	// Even with a matching checksum, a state violating the model's own
-	// invariants is rejected by RestoreState.
 	if err := ml.NewKNN(0, false).RestoreState([]byte(`{}`)); err == nil {
 		t.Fatal("empty KNN state should be rejected")
 	}

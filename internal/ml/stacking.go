@@ -125,13 +125,13 @@ func init() {
 	RegisterSnapshot(StackingSnapshotKind, func() Snapshotter { return &Stacking{} })
 }
 
-// stackingState nests one full model artifact per fitted base plus the meta
-// model, so heterogeneous bases restore through the snapshot registry.
+// stackingState holds one ModelState per fitted base plus the meta model,
+// so heterogeneous bases restore through the snapshot registry.
 type stackingState struct {
-	Folds int               `json:"folds"`
-	Seed  uint64            `json:"seed"`
-	Bases []json.RawMessage `json:"bases"`
-	Meta  json.RawMessage   `json:"meta"`
+	Folds int          `json:"folds"`
+	Seed  uint64       `json:"seed"`
+	Bases []ModelState `json:"bases"`
+	Meta  ModelState   `json:"meta"`
 }
 
 // SnapshotKind returns the artifact kind identifier.
@@ -143,7 +143,7 @@ func (s *Stacking) SnapshotState() ([]byte, error) {
 	if s.fittedBases == nil {
 		return nil, fmt.Errorf("ml: stacking snapshot before Fit")
 	}
-	st := stackingState{Folds: s.Folds, Seed: s.Seed, Bases: make([]json.RawMessage, len(s.fittedBases))}
+	st := stackingState{Folds: s.Folds, Seed: s.Seed, Bases: make([]ModelState, len(s.fittedBases))}
 	for i, base := range s.fittedBases {
 		data, err := EncodeModel(base)
 		if err != nil {
@@ -166,12 +166,12 @@ func (s *Stacking) RestoreState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	if len(st.Bases) == 0 || st.Meta == nil {
+	if len(st.Bases) == 0 || st.Meta.Kind == "" {
 		return fmt.Errorf("ml: stacking state missing bases or meta model")
 	}
 	bases := make([]Regressor, len(st.Bases))
-	for i, raw := range st.Bases {
-		m, err := DecodeModel(raw)
+	for i, ms := range st.Bases {
+		m, err := DecodeModel(ms)
 		if err != nil {
 			return fmt.Errorf("stacking base %d: %w", i, err)
 		}

@@ -20,7 +20,7 @@ import (
 // measurement's outcome, candidate fitted, gate verdict, promotion, rollback
 // — is appended and fsynced BEFORE the transition takes effect, so a `kill
 // -9` at any instant loses at most the record being written. It follows the
-// ml.Artifact envelope discipline at record granularity: a versioned header
+// fleet bundle's envelope discipline at record granularity: a versioned header
 // line, then one JSON record per line, each carrying a sha256 checksum of
 // its payload and a strictly increasing sequence number.
 //

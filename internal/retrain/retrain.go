@@ -776,7 +776,7 @@ func (c *Controller) fitGatePromote(ctx context.Context) error {
 		return c.finishCycle(outcomeAborted)
 	}
 	candidate := &guide.Advisor{Model: model, Grid: incumbent.Grid}
-	artifact, err := guide.EncodeAdvisor(candidate, c.cfg.Machine)
+	artifact, err := guide.EncodeBundle([]guide.FleetEntry{{Machine: c.cfg.Machine, Advisor: candidate}}, guide.BundleMeta{})
 	if err != nil {
 		return c.finishCycle(outcomeAborted)
 	}
