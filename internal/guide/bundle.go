@@ -87,8 +87,32 @@ func checkMachine(seen map[string]bool, name string) error {
 	return nil
 }
 
+// checkGrid rejects a candidate grid that Recommend cannot sweep in its
+// documented order: an empty axis, a node count or tile size ≤ 0, or an
+// axis that is not strictly increasing.
+func checkGrid(g dataset.Grid) error {
+	for _, axis := range []struct {
+		name string
+		xs   []int
+	}{{"node counts", g.Nodes}, {"tile sizes", g.TileSizes}} {
+		if len(axis.xs) == 0 {
+			return fmt.Errorf("candidate grid has no %s", axis.name)
+		}
+		for i, x := range axis.xs {
+			if x <= 0 {
+				return fmt.Errorf("candidate grid has %s %d ≤ 0", axis.name, x)
+			}
+			if i > 0 && x <= axis.xs[i-1] {
+				return fmt.Errorf("candidate grid %s are not strictly increasing (%d after %d)", axis.name, x, axis.xs[i-1])
+			}
+		}
+	}
+	return nil
+}
+
 // EncodeBundle captures a fleet of fitted advisors into bundle bytes. Every
-// entry needs a unique, non-empty machine name and a snapshot-capable model.
+// entry needs a unique, non-empty machine name, a candidate grid DecodeFleet
+// accepts and a snapshot-capable model.
 func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("guide: EncodeBundle requires at least one entry")
@@ -101,6 +125,9 @@ func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 		}
 		if e.Advisor == nil || e.Advisor.Model == nil {
 			return nil, fmt.Errorf("guide: bundle entry %q has no fitted advisor", e.Machine)
+		}
+		if err := checkGrid(e.Advisor.Grid); err != nil {
+			return nil, fmt.Errorf("guide: bundle entry %q: %w", e.Machine, err)
 		}
 		model, err := ml.EncodeModel(e.Advisor.Model)
 		if err != nil {
@@ -122,9 +149,11 @@ func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 }
 
 // DecodeFleet validates a fleet bundle (format, version, payload checksum,
-// then every entry) and rebuilds its advisors in entry order. A bad entry
-// anywhere in the fleet fails the whole load: a serve process must not come
-// up answering one machine correctly and another from corrupt state.
+// then every entry: its machine name, its candidate grid — both axes
+// positive and strictly increasing — and its model state) and rebuilds its
+// advisors in entry order. A bad entry anywhere in the fleet fails the
+// whole load: a serve process must not come up answering one machine
+// correctly and another from corrupt state.
 func DecodeFleet(data []byte) ([]FleetEntry, BundleMeta, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -150,8 +179,8 @@ func DecodeFleet(data []byte) ([]FleetEntry, BundleMeta, error) {
 		if err := checkMachine(seen, e.Machine); err != nil {
 			return nil, BundleMeta{}, err
 		}
-		if len(e.Grid.Nodes) == 0 || len(e.Grid.TileSizes) == 0 {
-			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q has an empty candidate grid", e.Machine)
+		if err := checkGrid(e.Grid); err != nil {
+			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q: %w", e.Machine, err)
 		}
 		model, err := ml.DecodeModel(e.Model)
 		if err != nil {

@@ -164,7 +164,8 @@ func reseal(t *testing.T, data []byte, mutate func(*envelope, *fleetPayload)) []
 
 // TestBundleRejections is the integrity acceptance criterion: corrupted
 // bundle entries — in ANY shard — are rejected at load, as are malformed,
-// truncated, wrong-format, wrong-version, and duplicate-machine bundles.
+// truncated, wrong-format, wrong-version, and duplicate-machine bundles and
+// candidate grids that are not positive and strictly increasing.
 func TestBundleRejections(t *testing.T) {
 	entries := fleetAdvisors(t)
 	data, err := EncodeBundle(entries, BundleMeta{})
@@ -230,6 +231,28 @@ func TestBundleRejections(t *testing.T) {
 			t.Fatalf("bundle with malformed %q state accepted", machineName)
 		} else if !strings.Contains(err.Error(), machineName) {
 			t.Fatalf("malformed-state error does not name the shard: %v", err)
+		}
+	}
+
+	// A candidate grid that Recommend cannot sweep in grid order — an axis
+	// unsorted, repeated, or not positive — is refused, naming the shard.
+	for name, grid := range map[string]dataset.Grid{
+		"unsorted nodes": {Nodes: []int{50, 5, 200}, TileSizes: []int{40, 80}},
+		"repeated tile":  {Nodes: []int{5, 50}, TileSizes: []int{40, 80, 80}},
+		"zero nodes":     {Nodes: []int{0, 5}, TileSizes: []int{40}},
+		"negative tile":  {Nodes: []int{5}, TileSizes: []int{-40, 80}},
+		"empty tiles":    {Nodes: []int{5}},
+	} {
+		for i, machineName := range []string{"aurora", "frontier"} {
+			bad := reseal(t, data, func(_ *envelope, p *fleetPayload) { p.Entries[i].Grid = grid })
+			if _, _, err := DecodeFleet(bad); err == nil || !strings.Contains(err.Error(), machineName) {
+				t.Fatalf("%s grid on %s: error %v, want a refusal naming the machine", name, machineName, err)
+			}
+		}
+		adv := *entries[0].Advisor
+		adv.Grid = grid
+		if _, err := EncodeBundle([]FleetEntry{{Machine: "aurora", Advisor: &adv}}, BundleMeta{}); err == nil {
+			t.Fatalf("%s grid encoded", name)
 		}
 	}
 

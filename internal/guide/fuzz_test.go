@@ -14,8 +14,9 @@ import (
 // fixed point. Each input is a format, a version and payload bytes, sealed
 // with a checksum that matches them, so mutations get past the checksum to
 // the payload, entry and model-state decoders. Seeds live under
-// testdata/fuzz/FuzzDecodeFleet (a one-entry tiny-GB fleet, a version 1
-// bundle, a parcost-advisor file, truncated payload bytes).
+// testdata/fuzz/FuzzDecodeFleet (a one-entry tiny-GB fleet, the same fleet
+// with its node counts out of order, a version 1 bundle, a parcost-advisor
+// file, truncated payload bytes).
 func FuzzDecodeFleet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, format string, version int, payload []byte) {
 		entries, meta, err := DecodeFleet(sealPayload(format, version, payload))

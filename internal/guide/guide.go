@@ -12,6 +12,14 @@
 //   - STQ: minimize predicted execution time.
 //   - BQ:  minimize predicted node-hours (NumNodes × time / 3600).
 //
+// An optional Oracle keeps only feasible, in-band configurations. The sweep
+// predicts first: a model that predicts whole grids (gradient boosting,
+// which every served bundle holds) is asked for the entire grid at once,
+// and the oracle is then asked about configurations in order of predicted
+// objective until it keeps one. Other models sweep eagerly — the oracle
+// first over every configuration, then predict the kept ones. Both orders
+// give the same answer bit for bit (see Advisor.Recommend).
+//
 // The package also implements the paper's careful true-loss evaluation: the
 // loss of a prediction is measured not by the predicted time at the
 // predicted optimum, but by the *true* time of the predicted configuration
@@ -42,7 +50,11 @@
 package guide
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"parcost/internal/dataset"
 	"parcost/internal/ml"
@@ -117,6 +129,23 @@ type Recommendation struct {
 	PredValue float64        // predicted objective value (secs or node-hours)
 }
 
+// gridPredictor is a model that predicts a whole product grid of rows at
+// once (ensemble.GradientBoosting does). Cell i*len(bs)+j of
+// PredictGrid(base, fa, as, fb, bs) is the row base with base[fa] = as[i]
+// and base[fb] = bs[j], and it must equal Predict([][]float64{row})[0] for
+// that row bit for bit, whatever other cells the grid holds. as and bs are
+// strictly increasing.
+type gridPredictor interface {
+	PredictGrid(base []float64, fa int, as []float64, fb int, bs []float64) []float64
+}
+
+// Feature indices of a configuration's node count and tile size, as laid
+// out by dataset.Config.AppendFeatures.
+const (
+	featNodes = 2
+	featTile  = 3
+)
+
 // Recommend answers a query for one problem size and objective by sweeping
 // the candidate grid and returning the configuration minimizing the
 // predicted objective. An optional Oracle prunes infeasible configurations.
@@ -131,9 +160,79 @@ type Recommendation struct {
 // processes holding the same fitted model — e.g. one that trained it and
 // one that loaded its artifact — therefore return identical
 // recommendations.
+//
+// The sweep runs in one of two orders with the same answer, bit for bit.
+// A model that predicts whole grids (gradient boosting, the model every
+// served bundle holds) over a strictly increasing grid is asked for every
+// prediction first; the configurations are then walked in (objective,
+// grid index) order and the oracle is asked only until one is kept, which
+// is the answer. Any other model (the active-learning advisors' GP, KR and
+// RF among them), a grid out of order, or a NaN prediction takes the eager
+// sweep: the oracle is asked about every configuration, the kept ones are
+// predicted, and the argmin wins.
 func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Recommendation, error) {
-	cfgs := a.Grid.Configs(p)
 	keep := keepFunc(oracle)
+	if gp, ok := a.Model.(gridPredictor); ok {
+		nodes, okN := increasingAxis(a.Grid.Nodes)
+		tiles, okT := increasingAxis(a.Grid.TileSizes)
+		if okN && okT {
+			if rec, err := a.recommendGrid(gp, nodes, tiles, p, obj, keep); err != errUnordered {
+				return rec, err
+			}
+		}
+	}
+	return a.recommendEager(p, obj, keep)
+}
+
+// errUnordered is recommendGrid's refusal of a grid whose objective values
+// include NaN, which has no place in the walk's order.
+var errUnordered = errors.New("guide: NaN objective value")
+
+// recommendGrid predicts the whole grid with gp, then walks it in stable
+// (objective, grid index) order and answers with the first configuration
+// keep keeps; with none kept it has walked everything and returns the
+// eager sweep's error. On a NaN objective value it returns errUnordered
+// before keep is asked anything, and the caller sweeps eagerly instead.
+func (a *Advisor) recommendGrid(gp gridPredictor, nodes, tiles []float64, p dataset.Problem, obj Objective, keep func(dataset.Config) bool) (Recommendation, error) {
+	cfgs := a.Grid.Configs(p)
+	preds := gp.PredictGrid(dataset.Config{O: p.O, V: p.V}.Features(), featNodes, nodes, featTile, tiles)
+	vals := make([]float64, len(cfgs))
+	order := make([]int, len(cfgs))
+	for i, c := range cfgs {
+		vals[i] = obj.value(c, preds[i])
+		if math.IsNaN(vals[i]) {
+			return Recommendation{}, errUnordered
+		}
+		order[i] = i
+	}
+	// A stable sort keeps equal values in grid order, which is the eager
+	// sweep's first-minimum tie-break.
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(vals[x], vals[y]) })
+	for _, i := range order {
+		if keep == nil || keep(cfgs[i]) {
+			return Recommendation{Problem: p, Objective: obj, Config: cfgs[i], PredTime: preds[i], PredValue: vals[i]}, nil
+		}
+	}
+	return Recommendation{}, errNoFeasible(p)
+}
+
+// increasingAxis converts a grid axis to the features the model sees and
+// reports whether they are strictly increasing, as PredictGrid needs.
+func increasingAxis(xs []int) ([]float64, bool) {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+		if i > 0 && !(out[i-1] < out[i]) {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
+// recommendEager asks keep about every configuration, predicts the kept
+// ones and returns the first minimum in grid order.
+func (a *Advisor) recommendEager(p dataset.Problem, obj Objective, keep func(dataset.Config) bool) (Recommendation, error) {
+	cfgs := a.Grid.Configs(p)
 	// The kept rows share one flat backing array, dataset.NumFeatures
 	// floats per configuration.
 	flat := make([]float64, 0, dataset.NumFeatures*len(cfgs))
@@ -146,7 +245,7 @@ func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Re
 		kept = append(kept, c)
 	}
 	if len(kept) == 0 {
-		return Recommendation{}, fmt.Errorf("guide: no feasible configurations for %v", p)
+		return Recommendation{}, errNoFeasible(p)
 	}
 	rows := make([][]float64, len(kept))
 	for i := range rows {
@@ -170,6 +269,12 @@ func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Re
 		PredTime:  preds[bestIdx],
 		PredValue: bestVal,
 	}, nil
+}
+
+// errNoFeasible is both sweeps' answer when the oracle keeps no
+// configuration of the grid.
+func errNoFeasible(p dataset.Problem) error {
+	return fmt.Errorf("guide: no feasible configurations for %v", p)
 }
 
 // keepFunc returns the oracle's pruning decision: InBand when the oracle has

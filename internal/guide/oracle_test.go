@@ -8,7 +8,6 @@ import (
 	"parcost/internal/dataset"
 	"parcost/internal/machine"
 	"parcost/internal/ml/tree"
-	"parcost/internal/rng"
 )
 
 // BenchmarkOracleSweep times the grid-sweep oracle layer: SimOracle.TrueTime
@@ -51,13 +50,8 @@ func BenchmarkOracleBandSweep(b *testing.B) {
 // paper problems and over seeded O/V offsets of each of them (offset by the
 // problem's index so the stride walks every node count and tile size).
 func bandConfigs() []dataset.Config {
-	r := rng.New(20261018)
-	var problems []dataset.Problem
-	for _, p := range dataset.PaperProblems() {
-		problems = append(problems, p, dataset.Problem{O: p.O + r.Intn(21) - 10, V: p.V + r.Intn(41) - 20})
-	}
 	var out []dataset.Config
-	for pi, p := range problems {
+	for pi, p := range offsetProblems() {
 		for ci, c := range dataset.DefaultGrid().Configs(p) {
 			if (ci+pi)%7 == 0 {
 				out = append(out, c)

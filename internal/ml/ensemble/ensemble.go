@@ -488,10 +488,51 @@ func (g *GradientBoosting) Predict(x [][]float64) []float64 {
 	for _, tr := range g.trees {
 		tr.PredictInto(x, step)
 		for i := range out {
-			out[i] += g.LearningRate * step[i]
+			// Rounding the product on its own keeps the sum PredictGrid's,
+			// bit for bit, on platforms that would fuse it into the add.
+			out[i] += float64(g.LearningRate * step[i])
 		}
 	}
 	return out
+}
+
+// PredictGrid predicts every cell of a product grid of rows in one walk per
+// tree: cell i*len(bs)+j is the row base with base[fa] = as[i] and
+// base[fb] = bs[j]. It equals Predict over those rows bit for bit — each
+// cell sums init and the same lr-scaled leaf values in the same tree order
+// — but walks each tree once over index boxes of the grid instead of once
+// per cell. as and bs must be strictly increasing, fa and fb distinct
+// indices into base; anything else panics.
+func (g *GradientBoosting) PredictGrid(base []float64, fa int, as []float64, fb int, bs []float64) []float64 {
+	if g.trees == nil {
+		panic("ensemble: GradientBoosting.PredictGrid before Fit")
+	}
+	if fa == fb || fa < 0 || fb < 0 || fa >= len(base) || fb >= len(base) {
+		panic(fmt.Sprintf("ensemble: PredictGrid axes %d and %d over a %d-feature row", fa, fb, len(base)))
+	}
+	if !strictlyIncreasing(as) || !strictlyIncreasing(bs) {
+		panic("ensemble: PredictGrid axes must be strictly increasing")
+	}
+	out := make([]float64, len(as)*len(bs))
+	for i := range out {
+		out[i] = g.init
+	}
+	var s tree.GridScratch
+	for _, tr := range g.trees {
+		tr.AddGrid(out, base, fa, as, fb, bs, g.LearningRate, &s)
+	}
+	return out
+}
+
+// strictlyIncreasing reports whether xs[i] < xs[i+1] for every i, which
+// also refuses NaN.
+func strictlyIncreasing(xs []float64) bool {
+	for i := 1; i < len(xs); i++ {
+		if !(xs[i-1] < xs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // StagedPredict returns the ensemble prediction after each boosting stage,

@@ -34,7 +34,7 @@ if [[ "${1:-}" == "compare" ]]; then
     shift 2
   fi
 fi
-pattern="${1:-BenchmarkTable2_GBTrainPredict|BenchmarkFigure1_AuroraModels|BenchmarkAblation_SplitterEngine|BenchmarkAblation_HistTree|BenchmarkAblation_KernelGram|BenchmarkAblation_SPDSolve|BenchmarkRouter_MixedFleet|BenchmarkProxy_Overhead|BenchmarkRetrain_HotSwap|BenchmarkOverload_ShedVsServe}"
+pattern="${1:-BenchmarkTable2_GBTrainPredict|BenchmarkFigure1_AuroraModels|BenchmarkAblation_SplitterEngine|BenchmarkAblation_HistTree|BenchmarkAblation_KernelGram|BenchmarkAblation_SPDSolve|BenchmarkRouter_MixedFleet|BenchmarkProxy_Overhead|BenchmarkRetrain_HotSwap|BenchmarkOverload_ShedVsServe|BenchmarkAdvisor_Recommend|BenchmarkGBPredictGrid}"
 
 # Snapshot the latest prior record BEFORE writing the new one (-V so a
 # tenth same-day rerun _10 sorts after _9, not before _2).
@@ -48,11 +48,13 @@ while [[ -e "$out" ]]; do
 done
 
 # BenchmarkProxy_Overhead and BenchmarkRetrain_HotSwap live in cmd/parcost,
-# BenchmarkOverload_ShedVsServe in internal/admission; the paper tables in
-# the root. The $(...) capture would otherwise swallow a compile failure or
-# benchmark panic into an empty snapshot, so check the exit status
-# explicitly and fail loudly instead of recording garbage.
-if ! raw=$(go test -run '^$' -bench "$pattern" -benchtime=1x -benchmem . ./cmd/parcost ./internal/admission 2>&1); then
+# BenchmarkOverload_ShedVsServe in internal/admission,
+# BenchmarkAdvisor_Recommend in internal/guide, BenchmarkGBPredictGrid in
+# internal/ml/ensemble; the paper tables in the root. The $(...) capture
+# would otherwise swallow a compile failure or benchmark panic into an
+# empty snapshot, so check the exit status explicitly and fail loudly
+# instead of recording garbage.
+if ! raw=$(go test -run '^$' -bench "$pattern" -benchtime=1x -benchmem . ./cmd/parcost ./internal/admission ./internal/guide ./internal/ml/ensemble 2>&1); then
   echo "$raw"
   echo "bench: go test -bench failed; no snapshot written" >&2
   exit 1
