@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 	"unsafe"
@@ -19,14 +20,13 @@ import (
 // Service so every shard of a fleet runs the same tested machinery instead
 // of bespoke bookkeeping per wrapper.
 //
-// Bounds compose, and an entry is admitted only while ALL configured bounds
-// hold:
+// Bounds:
 //
-//   - maxEntries caps the resident entry count (the original LRU bound).
-//   - maxBytes caps the approximate resident footprint. Entries are
-//     fixed-size structs, so the per-entry cost is the compile-time
-//     entryBytes constant; the bound still matters because callers reason in
-//     bytes (cache budgets per shard of a fleet), not entry counts.
+//   - maxEntries caps the resident entry count. Callers may also bound the
+//     cache in bytes (cache budgets per shard of a fleet), but entries are
+//     fixed-size structs costing the compile-time entryBytes constant, so
+//     newSweepCache folds a byte bound into this one entry cap: the smaller
+//     of the bounds set.
 //   - ttl, when positive, expires entries so models retrained in place age
 //     out sweeps computed against the previous model. Expiry is lazy: an
 //     expired entry is dropped when its key is next queried (counted in
@@ -39,11 +39,11 @@ import (
 // with resident-but-expired entries served as explicitly stale answers —
 // while the server is overloaded.
 //
-// A cache with no bound configured (maxEntries == 0 && maxBytes == 0) is
-// disabled: every query sweeps. This preserves WithCacheSize(0)'s contract.
+// A cache with maxEntries == 0 is disabled: every query sweeps. That is the
+// cache with no bound set (WithCacheSize(0) without WithCacheBytes), and
+// one whose byte bound is below entryBytes, which holds no entry.
 type sweepCache struct {
 	maxEntries int
-	maxBytes   int64
 	ttl        time.Duration
 	adm        *admission.Controller // bounds sweeps; shared across Router shards
 	now        func() time.Time      // injectable clock for TTL tests
@@ -54,7 +54,6 @@ type sweepCache struct {
 	mu       sync.Mutex
 	entries  map[Query]*list.Element
 	lru      *list.List // front = most recently used
-	bytes    int64
 	inflight map[Query]*inflightCall
 	hits     uint64
 	misses   uint64
@@ -97,12 +96,18 @@ type inflightCall struct {
 // is exact up to the map allowance.
 const entryBytes = int64(unsafe.Sizeof(cacheEntry{})+unsafe.Sizeof(list.Element{})+unsafe.Sizeof(Query{})) + 16
 
-// newSweepCache builds a cache with the given bounds sharing the given
+// newSweepCache builds a cache with the given bounds (0 leaves a bound
+// unset; with neither set the cache is disabled) sharing the given
 // admission controller.
 func newSweepCache(maxEntries int, maxBytes int64, ttl time.Duration, adm *admission.Controller) *sweepCache {
+	if maxBytes > 0 {
+		byteCap := int(min(maxBytes/entryBytes, int64(math.MaxInt)))
+		if maxEntries == 0 || byteCap < maxEntries {
+			maxEntries = byteCap
+		}
+	}
 	c := &sweepCache{
 		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
 		ttl:        ttl,
 		adm:        adm,
 		now:        time.Now,
@@ -114,7 +119,7 @@ func newSweepCache(maxEntries int, maxBytes int64, ttl time.Duration, adm *admis
 }
 
 // enabled reports whether results are retained at all.
-func (c *sweepCache) enabled() bool { return c.maxEntries > 0 || c.maxBytes > 0 }
+func (c *sweepCache) enabled() bool { return c.maxEntries > 0 }
 
 // do answers one query: cache hit, coalesced wait on an in-flight sweep, or
 // a fresh sweep behind admission control. sweep runs WITHOUT the cache lock
@@ -247,7 +252,7 @@ func (c *sweepCache) do(ctx context.Context, q Query, sweep func() (Recommendati
 }
 
 // insertLocked adds a sweep result, evicting least-recently-used entries
-// until every configured bound holds again. Callers hold the lock.
+// until the entry cap holds again. Callers hold the lock.
 func (c *sweepCache) insertLocked(q Query, rec Recommendation) {
 	var expires time.Time
 	if c.ttl > 0 {
@@ -261,28 +266,15 @@ func (c *sweepCache) insertLocked(q Query, rec Recommendation) {
 		return
 	}
 	c.entries[q] = c.lru.PushFront(&cacheEntry{q: q, rec: rec, expires: expires})
-	c.bytes += entryBytes
-	for c.overBoundsLocked() {
+	for c.lru.Len() > c.maxEntries {
 		c.removeLocked(c.lru.Back())
 	}
 }
 
-// overBoundsLocked reports whether any configured bound is exceeded.
-func (c *sweepCache) overBoundsLocked() bool {
-	if c.lru.Len() == 0 {
-		return false
-	}
-	if c.maxEntries > 0 && c.lru.Len() > c.maxEntries {
-		return true
-	}
-	return c.maxBytes > 0 && c.bytes > c.maxBytes
-}
-
-// removeLocked drops one resident entry and its byte accounting.
+// removeLocked drops one resident entry.
 func (c *sweepCache) removeLocked(el *list.Element) {
 	c.lru.Remove(el)
 	delete(c.entries, el.Value.(*cacheEntry).q)
-	c.bytes -= entryBytes
 }
 
 // hotKeys returns up to n resident keys in heat order (most recently used
@@ -312,7 +304,7 @@ func (c *sweepCache) stats() Stats {
 	defer c.mu.Unlock()
 	st := Stats{
 		Hits: c.hits, Misses: c.misses, Expired: c.expired,
-		Size: c.lru.Len(), Bytes: c.bytes,
+		Size: c.lru.Len(), Bytes: int64(c.lru.Len()) * entryBytes,
 		ShedQueueFull: c.shedQueueFull, ShedDeadline: c.shedDeadline,
 		ShedBrownout: c.shedBrownout, CanceledQueued: c.canceledQueued,
 		StaleServed: c.staleServed,

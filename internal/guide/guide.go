@@ -12,13 +12,12 @@
 //   - STQ: minimize predicted execution time.
 //   - BQ:  minimize predicted node-hours (NumNodes × time / 3600).
 //
-// An optional Oracle keeps only feasible, in-band configurations. The sweep
-// predicts first: a model that predicts whole grids (gradient boosting,
-// which every served bundle holds) is asked for the entire grid at once,
-// and the oracle is then asked about configurations in order of predicted
-// objective until it keeps one. Other models sweep eagerly — the oracle
-// first over every configuration, then predict the kept ones. Both orders
-// give the same answer bit for bit (see Advisor.Recommend).
+// An optional Oracle keeps only feasible, in-band configurations. Every
+// model is swept in one order, predict first: the whole grid is predicted
+// (in one call for a model that predicts whole grids, such as the gradient
+// boosting every served bundle holds), and the oracle is then asked about
+// configurations in order of predicted objective until it keeps one (see
+// Advisor.Recommend).
 //
 // The package also implements the paper's careful true-loss evaluation: the
 // loss of a prediction is measured not by the predicted time at the
@@ -51,7 +50,6 @@ package guide
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -154,127 +152,73 @@ const (
 // computes seconds only near a band edge; any other Oracle is asked
 // TrueTime.
 //
-// Tie-breaking is deterministic: the grid is swept in its stable order
-// (Grid.Configs enumerates sorted nodes × sorted tiles) and the FIRST
-// configuration attaining the minimum wins (strict `<` comparison). Two
-// processes holding the same fitted model — e.g. one that trained it and
-// one that loaded its artifact — therefore return identical
-// recommendations.
+// The sweep predicts first. The grid must pass the bundle's checkGrid rule
+// (both axes non-empty, positive and strictly increasing); a grid that does
+// not is refused with that error. Every configuration is predicted (in one
+// PredictGrid call when the model has it, otherwise one Predict over the
+// grid's rows), the configurations are walked in (objective, grid index)
+// order, and the oracle is asked only until it keeps one, which is the
+// answer. A NaN objective value is never recommended: it is skipped like a
+// configuration the oracle refuses.
 //
-// The sweep runs in one of two orders with the same answer, bit for bit.
-// A model that predicts whole grids (gradient boosting, the model every
-// served bundle holds) over a strictly increasing grid is asked for every
-// prediction first; the configurations are then walked in (objective,
-// grid index) order and the oracle is asked only until one is kept, which
-// is the answer. Any other model (the active-learning advisors' GP, KR and
-// RF among them), a grid out of order, or a NaN prediction takes the eager
-// sweep: the oracle is asked about every configuration, the kept ones are
-// predicted, and the argmin wins.
+// Tie-breaking is deterministic: the grid is enumerated in its stable order
+// (Grid.Configs enumerates sorted nodes × sorted tiles) and the walk's sort
+// is stable, so among equal values the FIRST configuration in grid order
+// wins. Two processes holding the same fitted model — e.g. one that trained
+// it and one that loaded its artifact — therefore return identical
+// recommendations.
 func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Recommendation, error) {
-	keep := keepFunc(oracle)
-	if gp, ok := a.Model.(gridPredictor); ok {
-		nodes, okN := increasingAxis(a.Grid.Nodes)
-		tiles, okT := increasingAxis(a.Grid.TileSizes)
-		if okN && okT {
-			if rec, err := a.recommendGrid(gp, nodes, tiles, p, obj, keep); err != errUnordered {
-				return rec, err
-			}
-		}
+	if err := checkGrid(a.Grid); err != nil {
+		return Recommendation{}, fmt.Errorf("guide: %w", err)
 	}
-	return a.recommendEager(p, obj, keep)
-}
-
-// errUnordered is recommendGrid's refusal of a grid whose objective values
-// include NaN, which has no place in the walk's order.
-var errUnordered = errors.New("guide: NaN objective value")
-
-// recommendGrid predicts the whole grid with gp, then walks it in stable
-// (objective, grid index) order and answers with the first configuration
-// keep keeps; with none kept it has walked everything and returns the
-// eager sweep's error. On a NaN objective value it returns errUnordered
-// before keep is asked anything, and the caller sweeps eagerly instead.
-func (a *Advisor) recommendGrid(gp gridPredictor, nodes, tiles []float64, p dataset.Problem, obj Objective, keep func(dataset.Config) bool) (Recommendation, error) {
 	cfgs := a.Grid.Configs(p)
-	preds := gp.PredictGrid(dataset.Config{O: p.O, V: p.V}.Features(), featNodes, nodes, featTile, tiles)
+	preds := a.predictGrid(p, cfgs)
 	vals := make([]float64, len(cfgs))
-	order := make([]int, len(cfgs))
+	order := make([]int, 0, len(cfgs))
 	for i, c := range cfgs {
 		vals[i] = obj.value(c, preds[i])
-		if math.IsNaN(vals[i]) {
-			return Recommendation{}, errUnordered
+		if !math.IsNaN(vals[i]) {
+			order = append(order, i)
 		}
-		order[i] = i
 	}
-	// A stable sort keeps equal values in grid order, which is the eager
-	// sweep's first-minimum tie-break.
+	// A stable sort keeps equal values in grid order: the first minimum
+	// in grid order wins.
 	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(vals[x], vals[y]) })
+	keep := keepFunc(oracle)
 	for _, i := range order {
 		if keep == nil || keep(cfgs[i]) {
 			return Recommendation{Problem: p, Objective: obj, Config: cfgs[i], PredTime: preds[i], PredValue: vals[i]}, nil
 		}
 	}
-	return Recommendation{}, errNoFeasible(p)
+	return Recommendation{}, fmt.Errorf("guide: no feasible configurations for %v", p)
 }
 
-// increasingAxis converts a grid axis to the features the model sees and
-// reports whether they are strictly increasing, as PredictGrid needs.
-func increasingAxis(xs []int) ([]float64, bool) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-		if i > 0 && !(out[i-1] < out[i]) {
-			return nil, false
-		}
+// predictGrid predicts every configuration of cfgs, which is a.Grid's
+// enumeration for p: in one PredictGrid call when the model has it,
+// otherwise in one Predict over rows that share a flat backing array,
+// dataset.NumFeatures floats per configuration.
+func (a *Advisor) predictGrid(p dataset.Problem, cfgs []dataset.Config) []float64 {
+	if gp, ok := a.Model.(gridPredictor); ok {
+		return gp.PredictGrid(dataset.Config{O: p.O, V: p.V}.Features(), featNodes, floatAxis(a.Grid.Nodes), featTile, floatAxis(a.Grid.TileSizes))
 	}
-	return out, true
-}
-
-// recommendEager asks keep about every configuration, predicts the kept
-// ones and returns the first minimum in grid order.
-func (a *Advisor) recommendEager(p dataset.Problem, obj Objective, keep func(dataset.Config) bool) (Recommendation, error) {
-	cfgs := a.Grid.Configs(p)
-	// The kept rows share one flat backing array, dataset.NumFeatures
-	// floats per configuration.
 	flat := make([]float64, 0, dataset.NumFeatures*len(cfgs))
-	kept := make([]dataset.Config, 0, len(cfgs))
 	for _, c := range cfgs {
-		if keep != nil && !keep(c) {
-			continue // infeasible; skip
-		}
 		flat = c.AppendFeatures(flat)
-		kept = append(kept, c)
 	}
-	if len(kept) == 0 {
-		return Recommendation{}, errNoFeasible(p)
-	}
-	rows := make([][]float64, len(kept))
+	rows := make([][]float64, len(cfgs))
 	for i := range rows {
 		rows[i] = flat[i*dataset.NumFeatures : (i+1)*dataset.NumFeatures : (i+1)*dataset.NumFeatures]
 	}
-	preds := a.Model.Predict(rows)
-	bestIdx := -1
-	bestVal := 0.0
-	for i, c := range kept {
-		v := obj.value(c, preds[i])
-		// Strictly-less keeps the first minimum: ties resolve to the
-		// earliest grid configuration, independent of process or platform.
-		if bestIdx < 0 || v < bestVal {
-			bestIdx, bestVal = i, v
-		}
-	}
-	return Recommendation{
-		Problem:   p,
-		Objective: obj,
-		Config:    kept[bestIdx],
-		PredTime:  preds[bestIdx],
-		PredValue: bestVal,
-	}, nil
+	return a.Model.Predict(rows)
 }
 
-// errNoFeasible is both sweeps' answer when the oracle keeps no
-// configuration of the grid.
-func errNoFeasible(p dataset.Problem) error {
-	return fmt.Errorf("guide: no feasible configurations for %v", p)
+// floatAxis converts a grid axis to the features the model sees.
+func floatAxis(xs []int) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[i] = float64(x)
+	}
+	return out
 }
 
 // keepFunc returns the oracle's pruning decision: InBand when the oracle has

@@ -80,8 +80,8 @@ func WithCacheSize(n int) ServiceOption {
 
 // WithCacheBytes bounds the sweep cache's approximate resident footprint to
 // n bytes (each entry costs the fixed entryBytes documented in cache.go).
-// n <= 0 removes the byte bound. Both bounds may be active at once; eviction
-// runs until every configured bound holds.
+// n <= 0 removes the byte bound. Both bounds may be active at once; the
+// cache then holds the fewer entries of the two.
 func WithCacheBytes(n int64) ServiceOption {
 	return func(c *serviceConfig) { c.maxBytes = max(n, 0) }
 }

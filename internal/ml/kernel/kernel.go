@@ -372,9 +372,11 @@ func (g *GaussianProcess) PredictPlane(p *DistancePlane, testIdx []int) []float6
 	return out
 }
 
-// Predict returns posterior-mean predictions on the original scale.
+// Predict returns posterior-mean predictions on the original scale,
+// bit-identical to PredictStd's mean, without the variance's per-row
+// solve.
 func (g *GaussianProcess) Predict(x [][]float64) []float64 {
-	mean, _ := g.PredictStd(x)
+	mean, _ := g.predict(x, false)
 	return mean
 }
 
@@ -383,23 +385,33 @@ func (g *GaussianProcess) Predict(x [][]float64) []float64 {
 // k** − k*ᵀ(K+σ²I)⁻¹k*, computed stably via the Cholesky factor when one is
 // held, or via the shared spectral factorization after a spectral fit.
 func (g *GaussianProcess) PredictStd(x [][]float64) (mean, std []float64) {
+	return g.predict(x, true)
+}
+
+// predict computes the posterior mean of each row, and its standard
+// deviation when withStd is set (std is nil otherwise).
+func (g *GaussianProcess) predict(x [][]float64, withStd bool) (mean, std []float64) {
 	if g.chol == nil && g.eig == nil {
-		panic("kernel: GaussianProcess.PredictStd before Fit")
+		panic("kernel: GaussianProcess prediction before Fit")
 	}
 	mean = make([]float64, len(x))
-	std = make([]float64, len(x))
 	// One k* and one solve buffer serve every prediction row.
 	kStar := make([]float64, len(g.xTrain))
-	v := make([]float64, len(g.xTrain))
+	var v []float64
+	if withStd {
+		std = make([]float64, len(x))
+		v = make([]float64, len(g.xTrain))
+	}
 	for i, row := range x {
 		rs := g.scaler.TransformRow(row)
 		for j, xt := range g.xTrain {
 			kStar[j] = g.Kernel.Eval(xt, rs)
 		}
 		// Posterior mean (standardized), then inverse-transformed.
-		muStd := mat.Dot(kStar, g.alpha)
-		mean[i] = g.tScale.InverseOne(muStd)
-
+		mean[i] = g.tScale.InverseOne(mat.Dot(kStar, g.alpha))
+		if !withStd {
+			continue
+		}
 		kxx := g.Kernel.Eval(rs, rs)
 		var varStd float64
 		if g.chol != nil {

@@ -187,3 +187,42 @@ func TestSpectralFallbackIllConditioned(t *testing.T) {
 		}
 	}
 }
+
+// TestGPPredictIsPredictStdMean: Predict, which skips the variance, returns
+// PredictStd's mean bit for bit after a Cholesky fit (plain and plane) and
+// after a spectral fit.
+func TestGPPredictIsPredictStdMean(t *testing.T) {
+	p, train, _, yTr := spectralHarness(t, 110, 3, 32)
+	r := rng.New(33)
+	queries := make([][]float64, 40)
+	for i := range queries {
+		queries[i] = []float64{r.Uniform(-3, 3), r.Uniform(-3, 3), r.Uniform(-3, 3)}
+	}
+	fits := map[string]func(g *GaussianProcess) error{
+		"cholesky": func(g *GaussianProcess) error {
+			x, y := smoothData(rng.New(34), 80, 0.05)
+			for i := range x {
+				x[i] = append(x[i], x[i][0]*x[i][1])
+			}
+			return g.Fit(x, y)
+		},
+		"cholesky plane": func(g *GaussianProcess) error { return g.FitPlane(p, train, yTr) },
+		"spectral":       func(g *GaussianProcess) error { return g.FitPlaneSpectral(p, train, yTr) },
+	}
+	for name, fit := range fits {
+		g := NewGaussianProcess(RBF{Length: 1.5}, 1e-2)
+		if err := fit(g); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if (g.eig != nil) != (name == "spectral") {
+			t.Fatalf("%s: spectral factorization held: %v", name, g.eig != nil)
+		}
+		got := g.Predict(queries)
+		want, _ := g.PredictStd(queries)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: row %d: Predict %v, PredictStd mean %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}

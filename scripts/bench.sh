@@ -75,7 +75,15 @@ fi
       if (seen) printf ",\n"
       seen = 1
       sub(/-[0-9]+$/, "", $1)  # drop the -GOMAXPROCS suffix so snapshots from different core counts compare
-      printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", $1, $3, $5, $7
+      # Each value precedes its unit; read them by unit, so a custom
+      # b.ReportMetric column (e.g. "4.5 ms/query") cannot shift them.
+      ns = "null"; b = "null"; allocs = "null"
+      for (i = 4; i <= NF; i++) {
+        if ($i == "ns/op") ns = $(i - 1)
+        else if ($i == "B/op") b = $(i - 1)
+        else if ($i == "allocs/op") allocs = $(i - 1)
+      }
+      printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", $1, ns, b, allocs
     }
     END { if (seen) printf "\n" }'
   echo '  ]'
