@@ -19,7 +19,7 @@ func runProxy(args []string) error {
 	var (
 		backends        = fs.String("backends", "", "comma-separated `parcost serve` addresses, e.g. host1:8081,host2:8082 (required)")
 		addr            = fs.String("addr", ":8080", "listen address")
-		hedgeAfter      = fs.String("hedge-after", "95p", "hedge a slow request onto the next replica after: a latency percentile (\"95p\"), a fixed delay (\"250ms\"), or \"off\"")
+		hedgeAfter      = fs.String("hedge-after", "95p", "hedge a slow request onto the next replica after: a percentile of the route's request latencies (\"95p\"), a fixed delay (\"250ms\"), or \"off\"")
 		retries         = fs.Int("retries", 2, "additional attempts on other replicas after a connection failure or 5xx")
 		retryBudget     = fs.Float64("retry-budget", 0.2, "fleet-wide retry/hedge tokens earned per initial request (caps brownout amplification; 0 disables the budget)")
 		timeout         = fs.Duration("timeout", 30*time.Second, "per-attempt upstream deadline")

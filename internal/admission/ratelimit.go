@@ -1,9 +1,10 @@
 package admission
 
 import (
-	"container/list"
 	"sync"
 	"time"
+
+	"parcost/internal/lru"
 )
 
 // RateLimiter is a per-client token-bucket limiter keyed on an opaque
@@ -16,20 +17,17 @@ import (
 //
 // A nil *RateLimiter admits everything, so callers need no feature flag.
 type RateLimiter struct {
-	rate    float64 // tokens per second
-	burst   float64
-	maxKeys int
-	now     func() time.Time
+	rate  float64 // tokens per second
+	burst float64
+	now   func() time.Time
 
 	mu      sync.Mutex
-	buckets map[string]*list.Element
-	lru     *list.List // of *clientBucket, front = most recently used
+	buckets *lru.Cache[string, *clientBucket]
 	allowed uint64
 	limited uint64
 }
 
 type clientBucket struct {
-	key    string
 	tokens float64
 	last   time.Time
 }
@@ -44,11 +42,7 @@ func NewRateLimiter(rate, burst float64, maxKeys int, now func() time.Time) *Rat
 	if maxKeys < 1 {
 		maxKeys = 1
 	}
-	return &RateLimiter{
-		rate: rate, burst: burst, maxKeys: maxKeys, now: now,
-		buckets: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+	return &RateLimiter{rate: rate, burst: burst, now: now, buckets: lru.New[string, *clientBucket](maxKeys)}
 }
 
 // Allow consumes one token from key's bucket. When the bucket is empty it
@@ -61,23 +55,16 @@ func (l *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.now()
-	var b *clientBucket
-	if el, found := l.buckets[key]; found {
-		l.lru.MoveToFront(el)
-		b = el.Value.(*clientBucket)
+	b, found := l.buckets.Get(key)
+	if found {
 		b.tokens += now.Sub(b.last).Seconds() * l.rate
 		if b.tokens > l.burst {
 			b.tokens = l.burst
 		}
 		b.last = now
 	} else {
-		b = &clientBucket{key: key, tokens: l.burst, last: now}
-		l.buckets[key] = l.lru.PushFront(b)
-		for l.lru.Len() > l.maxKeys {
-			back := l.lru.Back()
-			delete(l.buckets, back.Value.(*clientBucket).key)
-			l.lru.Remove(back)
-		}
+		b = &clientBucket{tokens: l.burst, last: now}
+		l.buckets.Put(key, b)
 	}
 	if b.tokens >= 1 {
 		b.tokens--

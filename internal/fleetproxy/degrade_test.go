@@ -3,6 +3,7 @@ package fleetproxy
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 )
@@ -86,43 +87,6 @@ func TestParseHedge(t *testing.T) {
 	}
 }
 
-func TestReservoirPercentileGatesOnSamples(t *testing.T) {
-	r := newLatencyReservoir(512)
-	if _, ok := r.percentile(95); ok {
-		t.Fatal("empty reservoir produced a percentile")
-	}
-	for i := 1; i <= reservoirMinSamples-1; i++ {
-		r.add(time.Duration(i) * time.Millisecond)
-	}
-	if _, ok := r.percentile(95); ok {
-		t.Fatal("under-filled reservoir produced a percentile")
-	}
-	r.add(100 * time.Millisecond)
-	p95, ok := r.percentile(95)
-	if !ok {
-		t.Fatal("filled reservoir refused a percentile")
-	}
-	if p95 < 10*time.Millisecond {
-		t.Fatalf("p95 = %v, implausibly low for samples up to 100ms", p95)
-	}
-	p50, _ := r.percentile(50)
-	if p50 > p95 {
-		t.Fatalf("p50 %v > p95 %v", p50, p95)
-	}
-}
-
-func TestReservoirWrapsRing(t *testing.T) {
-	r := newLatencyReservoir(32)
-	for i := 0; i < 100; i++ {
-		r.add(time.Duration(i) * time.Millisecond)
-	}
-	// Only the last 32 samples (68ms..99ms) remain.
-	p, ok := r.percentile(1)
-	if !ok || p < 68*time.Millisecond {
-		t.Fatalf("low percentile %v ok=%v, want >= 68ms after wrap", p, ok)
-	}
-}
-
 func TestStaleKeyDistinguishesPathAndBody(t *testing.T) {
 	keys := map[string]bool{}
 	for _, k := range []string{
@@ -147,20 +111,94 @@ func TestHedgeDelayClamps(t *testing.T) {
 		RequestTimeout: 2 * time.Second,
 	})
 	defer p.Close()
-	if got := p.hedgeDelay(); got != 2*time.Second {
+	if got := p.hedgeDelay("recommend"); got != 2*time.Second {
 		t.Fatalf("hedge delay %v, want clamped to request timeout 2s", got)
 	}
 
 	p2 := mustProxy(t, Config{Backends: []string{"http://a:1", "http://b:2"}, Hedge: HedgeSpec{Percentile: 95}})
 	defer p2.Close()
-	if got := p2.hedgeDelay(); got != defaultHedgeFloor {
+	if got := p2.hedgeDelay("recommend"); got != defaultHedgeFloor {
 		t.Fatalf("unsampled percentile hedge delay %v, want floor %v", got, defaultHedgeFloor)
 	}
 	for i := 0; i < 64; i++ {
-		p2.reservoir.add(time.Duration(10+i) * time.Millisecond)
+		p2.metrics.Observe("recommend", time.Duration(10+i)*time.Millisecond)
 	}
-	if got := p2.hedgeDelay(); got < 10*time.Millisecond {
-		t.Fatalf("sampled hedge delay %v, want a high percentile of ~10-73ms", got)
+	// The nearest-rank p95 of 10..73 ms is 70 ms, which sits in the bucket
+	// bounded by 50µs·2^11 = 102.4 ms.
+	if got := p2.hedgeDelay("recommend"); got != 102400*time.Microsecond {
+		t.Fatalf("sampled hedge delay %v, want the 102.4ms bucket bound over the 70ms p95", got)
+	}
+
+	// Past the last finite bound (~26 s) the read is unbounded, and the
+	// request timeout caps it.
+	p3 := mustProxy(t, Config{
+		Backends:       []string{"http://a:1", "http://b:2"},
+		Hedge:          HedgeSpec{Percentile: 95},
+		RequestTimeout: 40 * time.Second,
+	})
+	defer p3.Close()
+	for i := 0; i < hedgeMinSamples; i++ {
+		p3.metrics.Observe("recommend", time.Minute)
+	}
+	if got := p3.hedgeDelay("recommend"); got != 40*time.Second {
+		t.Fatalf("overflowed hedge delay %v, want clamped to request timeout 40s", got)
+	}
+}
+
+func TestHedgeDelayIsPerRoute(t *testing.T) {
+	p := mustProxy(t, Config{Backends: []string{"http://a:1", "http://b:2"}, Hedge: HedgeSpec{Percentile: 95}})
+	defer p.Close()
+	for i := 0; i < 100; i++ {
+		p.metrics.Observe("recommend", 2*time.Second)
+	}
+	if got := p.hedgeDelay("batch"); got != defaultHedgeFloor {
+		t.Fatalf("batch hedge delay %v after recommend traffic only, want floor %v", got, defaultHedgeFloor)
+	}
+	for i := 0; i < hedgeMinSamples-1; i++ {
+		p.metrics.Observe("batch", time.Millisecond)
+	}
+	if got := p.hedgeDelay("batch"); got != defaultHedgeFloor {
+		t.Fatalf("batch hedge delay %v below %d observations, want floor %v", got, hedgeMinSamples, defaultHedgeFloor)
+	}
+	p.metrics.Observe("batch", time.Millisecond)
+	if got := p.hedgeDelay("batch"); got != 1600*time.Microsecond {
+		t.Fatalf("batch hedge delay %v, want the 1.6ms bucket bound over its own 1ms latencies", got)
+	}
+	if got := p.hedgeDelay("recommend"); got != 3276800*time.Microsecond {
+		t.Fatalf("recommend hedge delay %v, want the 3.2768s bucket bound over its 2s latencies", got)
+	}
+}
+
+// TestHedgeUsesTheForwardedRoute checks that a forwarded request hedges on
+// its own route's threshold: a batch with a fast history hedges off a slow
+// primary at once, while recommend's slow history lets the primary answer.
+func TestHedgeUsesTheForwardedRoute(t *testing.T) {
+	f := newTestFleet(t, 2, Config{Hedge: HedgeSpec{Percentile: 95}, RequestTimeout: 5 * time.Second})
+	for i := 0; i < hedgeMinSamples; i++ {
+		f.proxy.metrics.Observe("batch", time.Millisecond) // hedge after 1.6 ms
+		f.proxy.metrics.Observe("recommend", time.Minute)  // past every bound: the 5 s timeout
+	}
+	primary := 0
+	key := f.keyOwnedBy(t, primary)
+	f.faults[primary].ScriptSlow(300*time.Millisecond, -1)
+
+	resp, body := f.post(t, "/v1/batch", map[string]any{"queries": []map[string]any{{"machine": key}}})
+	var br struct {
+		Results []map[string]any `json:"results"`
+	}
+	if err := json.Unmarshal(body, &br); resp.StatusCode != http.StatusOK || err != nil || len(br.Results) != 1 {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	if got := br.Results[0]["backend"]; got != "backend-1" {
+		t.Fatalf("batch answered by %v, want the replica hedged after batch's own 1.6 ms threshold", got)
+	}
+
+	resp, body = f.post(t, "/v1/recommend", map[string]any{"machine": key})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("recommend status %d: %s", resp.StatusCode, body)
+	}
+	if got := decodeMap(t, body)["backend"]; got != "backend-0" {
+		t.Fatalf("recommend answered by %v, want the slow primary: its own threshold is the 5 s timeout", got)
 	}
 }
 
@@ -179,6 +217,9 @@ func TestNewRejectsBadBackends(t *testing.T) {
 	}
 	if _, err := New(Config{Backends: []string{"a:1", "http://a:1"}}); err == nil {
 		t.Fatal("New accepted duplicate backends (normalization should collide)")
+	}
+	if _, err := New(Config{Backends: []string{"a%zz:1"}}); err == nil {
+		t.Fatal("New accepted a backend address no request can be built for")
 	}
 	p := mustProxy(t, Config{Backends: []string{"a:1/", "b:2"}})
 	defer p.Close()

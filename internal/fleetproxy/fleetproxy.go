@@ -10,7 +10,8 @@
 // attempt; connection failures and 5xx answers retry on the next replica
 // with exponential backoff plus jitter; a slow primary gets a hedged
 // duplicate on the best replica once it exceeds the hedge threshold (a
-// percentile of recently observed latencies, or a fixed delay); and a
+// fixed delay, or a percentile of the route's request latencies read from
+// the proxy's own histogram since start, at log-2 bucket resolution); and a
 // per-backend circuit breaker stops hammering a dead host.
 //
 // Circuit breaker state machine (breaker.go):
@@ -47,6 +48,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -83,7 +85,8 @@ type Config struct {
 	RetryBackoff time.Duration
 
 	// Hedge says when to duplicate a slow request onto the next replica
-	// (default the 95th percentile of observed latencies).
+	// (default the 95th percentile of the route's request-latency histogram
+	// since start, read at log-2 bucket resolution).
 	Hedge HedgeSpec
 
 	// RequestTimeout is the per-attempt deadline (default 30s).
@@ -196,12 +199,11 @@ func (b *backendState) snapshot() (healthy bool, score float64, lastProbe time.T
 // Proxy is the fleet frontend. Build with New, optionally Start the health
 // prober, mount Handler, and Close when done.
 type Proxy struct {
-	cfg       Config
-	client    *http.Client
-	metrics   *guide.Metrics
-	stale     *staleCache
-	reservoir *latencyReservoir
-	budget    *admission.RetryBudget // nil when RetryBudget < 0 (unbounded)
+	cfg     Config
+	client  *http.Client
+	metrics *guide.Metrics // per-route request latency: /metrics, healthz and hedging
+	stale   *staleCache
+	budget  *admission.RetryBudget // nil when RetryBudget < 0 (unbounded)
 
 	mu       sync.RWMutex
 	ring     *hashRing
@@ -244,14 +246,13 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("fleetproxy: at least one backend is required")
 	}
 	p := &Proxy{
-		cfg:       cfg,
-		client:    &http.Client{Transport: cfg.Transport},
-		metrics:   guide.NewMetrics(),
-		stale:     newStaleCache(cfg.StaleCacheSize),
-		reservoir: newLatencyReservoir(512),
-		backends:  make(map[string]*backendState, len(cfg.Backends)),
-		jitter:    rng.New(0x70726f7879), // "proxy"
-		stop:      make(chan struct{}),
+		cfg:      cfg,
+		client:   &http.Client{Transport: cfg.Transport},
+		metrics:  guide.NewMetrics(),
+		stale:    newStaleCache(cfg.StaleCacheSize),
+		backends: make(map[string]*backendState, len(cfg.Backends)),
+		jitter:   rng.New(0x70726f7879), // "proxy"
+		stop:     make(chan struct{}),
 	}
 	if cfg.RetryBudget > 0 {
 		p.budget = admission.NewRetryBudget(cfg.RetryBudget, retryBudgetBurst)
@@ -261,6 +262,9 @@ func New(cfg Config) (*Proxy, error) {
 		u := normalizeBackend(raw)
 		if u == "" {
 			return nil, fmt.Errorf("fleetproxy: empty backend address in %v", cfg.Backends)
+		}
+		if _, err := url.Parse(u); err != nil { // no request to it could be built
+			return nil, fmt.Errorf("fleetproxy: backend address %q: %w", raw, err)
 		}
 		if _, dup := p.backends[u]; dup {
 			return nil, fmt.Errorf("fleetproxy: backend %s listed twice", u)
@@ -279,13 +283,22 @@ func New(cfg Config) (*Proxy, error) {
 
 // Backends lists the current backend URLs, sorted.
 func (p *Proxy) Backends() []string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]string, 0, len(p.backends))
-	for u := range p.backends {
-		out = append(out, u)
+	var out []string
+	for _, b := range p.backendList() {
+		out = append(out, b.url)
 	}
-	sort.Strings(out)
+	return out
+}
+
+// backendList snapshots the current backends in URL order.
+func (p *Proxy) backendList() []*backendState {
+	p.mu.RLock()
+	out := make([]*backendState, 0, len(p.backends))
+	for _, b := range p.backends {
+		out = append(out, b)
+	}
+	p.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].url < out[j].url })
 	return out
 }
 
@@ -336,20 +349,26 @@ func (p *Proxy) backendFor(url string) *backendState {
 	return p.backends[url]
 }
 
-// hedgeDelay resolves the configured hedge spec against observed latencies.
-const defaultHedgeFloor = 50 * time.Millisecond
+// A percentile hedge waits defaultHedgeFloor until its route has
+// hedgeMinSamples observations; below that the estimate is noise.
+const (
+	defaultHedgeFloor = 50 * time.Millisecond
+	hedgeMinSamples   = 16
+)
 
-func (p *Proxy) hedgeDelay() time.Duration {
+// hedgeDelay resolves the hedge spec for one route ("recommend", "batch",
+// ...) from that route's own latency histogram.
+func (p *Proxy) hedgeDelay(route string) time.Duration {
 	var d time.Duration
 	switch {
 	case p.cfg.Hedge.Fixed > 0:
 		d = p.cfg.Hedge.Fixed
 	case p.cfg.Hedge.Percentile > 0:
-		est, ok := p.reservoir.percentile(p.cfg.Hedge.Percentile)
-		if !ok {
-			est = defaultHedgeFloor // too few samples to trust a percentile
+		var n uint64
+		d, n = p.metrics.Percentile(route, p.cfg.Hedge.Percentile)
+		if n < hedgeMinSamples {
+			d = defaultHedgeFloor
 		}
-		d = est
 	default:
 		return p.cfg.RequestTimeout
 	}

@@ -76,7 +76,8 @@ func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) 
 }
 
 // roundTrip is one deadline-bounded upstream exchange with no breaker or
-// retry involvement (health probes, drain admin calls).
+// retry involvement (forwarding attempts, health fetches, drain admin
+// calls); the body is read under maxUpstreamBytes.
 func (p *Proxy) roundTrip(ctx context.Context, method, url string, body []byte) (upstream, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.RequestTimeout)
 	defer cancel()
@@ -101,6 +102,21 @@ func (p *Proxy) roundTrip(ctx context.Context, method, url string, body []byte) 
 		return upstream{}, err
 	}
 	return upstream{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: data}, nil
+}
+
+// fetchHealth is one backend's /v1/healthz report, fetched through
+// roundTrip: a transport error, a non-200 status or an undecodable body is
+// an error.
+func (p *Proxy) fetchHealth(ctx context.Context, backendURL string) (guide.HealthReport, error) {
+	var rep guide.HealthReport
+	res, err := p.roundTrip(ctx, http.MethodGet, backendURL+"/v1/healthz", nil)
+	if err == nil && res.status != http.StatusOK {
+		err = fmt.Errorf("status %d", res.status)
+	}
+	if err == nil {
+		err = json.Unmarshal(res.body, &rep)
+	}
+	return rep, err
 }
 
 // attemptOut is one forwarding attempt's outcome. ok means the backend
@@ -181,13 +197,11 @@ func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands
 					return
 				}
 			}
-			start := p.cfg.Now()
 			out := attemptOut{}
 			out.res, out.err = p.roundTrip(ctx, http.MethodPost, b.url+path, body)
 			out.dead = connFailure(out.err)
 			if out.ok() {
 				b.breaker.Success()
-				p.reservoir.add(p.cfg.Now().Sub(start))
 			} else if ctx.Err() == nil { // a cancelled loser is not a backend failure
 				b.breaker.Failure()
 			}
@@ -201,7 +215,7 @@ func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands
 	retries := 0
 	var hedge <-chan time.Time
 	if !p.cfg.Hedge.Disabled && len(cands) > 1 {
-		hedge = time.After(p.hedgeDelay())
+		hedge = time.After(p.hedgeDelay(strings.TrimPrefix(path, "/v1/")))
 	}
 	for {
 		select {
@@ -446,14 +460,7 @@ type ProxyHealth struct {
 // following the Stats merge contract); unreachable backends or non-closed
 // breakers mark the whole fleet "degraded".
 func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	p.mu.RLock()
-	backends := make([]*backendState, 0, len(p.backends))
-	for _, b := range p.backends {
-		backends = append(backends, b)
-	}
-	p.mu.RUnlock()
-	sort.Slice(backends, func(i, j int) bool { return backends[i].url < backends[j].url })
-
+	backends := p.backendList()
 	type fetched struct {
 		rep guide.HealthReport
 		err error
@@ -462,14 +469,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	done := make(chan int, len(backends))
 	for i, b := range backends {
 		go func(i int, b *backendState) {
-			res, err := p.roundTrip(r.Context(), http.MethodGet, b.url+"/v1/healthz", nil)
-			if err == nil && res.status != http.StatusOK {
-				err = fmt.Errorf("status %d", res.status)
-			}
-			if err == nil {
-				err = json.Unmarshal(res.body, &reps[i].rep)
-			}
-			reps[i].err = err
+			reps[i].rep, reps[i].err = p.fetchHealth(r.Context(), b.url)
 			done <- i
 		}(i, b)
 	}

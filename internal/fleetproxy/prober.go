@@ -2,8 +2,7 @@ package fleetproxy
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
+	"math"
 	"sort"
 	"time"
 
@@ -40,18 +39,7 @@ func (p *Proxy) Start() {
 // probeAll probes every current backend concurrently and waits for the sweep
 // to finish, keeping at most one outstanding probe per backend.
 func (p *Proxy) probeAll() {
-	p.mu.RLock()
-	urls := make([]string, 0, len(p.backends))
-	for u := range p.backends {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	backends := make([]*backendState, 0, len(urls))
-	for _, u := range urls {
-		backends = append(backends, p.backends[u])
-	}
-	p.mu.RUnlock()
-
+	backends := p.backendList()
 	done := make(chan struct{}, len(backends))
 	for _, b := range backends {
 		go func(b *backendState) {
@@ -67,26 +55,9 @@ func (p *Proxy) probeAll() {
 func (p *Proxy) probeOne(b *backendState) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/healthz", nil)
-	if err != nil {
-		b.setProbe(false, 0, p.cfg.Now())
-		return
-	}
 	start := p.cfg.Now()
-	resp, err := p.client.Do(req)
+	rep, err := p.fetchHealth(ctx, b.url)
 	if err != nil {
-		b.setProbe(false, 0, p.cfg.Now())
-		b.breaker.Failure()
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b.setProbe(false, 0, p.cfg.Now())
-		b.breaker.Failure()
-		return
-	}
-	var rep guide.HealthReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		b.setProbe(false, 0, p.cfg.Now())
 		b.breaker.Failure()
 		return
@@ -124,8 +95,8 @@ func healthScore(rep guide.HealthReport, probeRTT time.Duration) float64 {
 	if n > 0 {
 		meanMs = totalMs / n
 	}
-	if meanMs < 0 {
+	if !(meanMs >= 0) { // negative, or NaN from +Inf and -Inf route totals
 		meanMs = 0
 	}
-	return 1 / (1 + meanMs)
+	return 1 / (1 + min(meanMs, math.MaxFloat64)) // an overflowed +Inf mean still scores above 0
 }

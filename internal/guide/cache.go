@@ -12,6 +12,7 @@ import (
 
 	"parcost/internal/admission"
 	"parcost/internal/dataset"
+	"parcost/internal/lru"
 )
 
 // sweepCache is the serving cache engine shared by Service and Router: a
@@ -52,8 +53,7 @@ type sweepCache struct {
 	// register an inflight entry and release it, so hits stay O(1) while a
 	// sweep runs.
 	mu       sync.Mutex
-	entries  map[Query]*list.Element
-	lru      *list.List // front = most recently used
+	entries  *lru.Cache[Query, cacheEntry]
 	inflight map[Query]*inflightCall
 	hits     uint64
 	misses   uint64
@@ -77,7 +77,6 @@ type sweepCache struct {
 // cacheEntry is one resident sweep result. expires is the zero Time when the
 // cache has no TTL.
 type cacheEntry struct {
-	q       Query
 	rec     Recommendation
 	expires time.Time
 }
@@ -90,11 +89,11 @@ type inflightCall struct {
 }
 
 // entryBytes approximates the resident footprint of one cache entry: the
-// entry struct itself, its intrusive list element, and a flat allowance for
-// its share of the entries-map bucket (key + element pointer + bucket
-// overhead). Query and Recommendation are fixed-size value structs, so this
-// is exact up to the map allowance.
-const entryBytes = int64(unsafe.Sizeof(cacheEntry{})+unsafe.Sizeof(list.Element{})+unsafe.Sizeof(Query{})) + 16
+// entry with the key the LRU keeps beside it, its list element, and a flat
+// allowance for its share of the LRU's map bucket (key + element pointer +
+// bucket overhead). Query and Recommendation are fixed-size value structs,
+// so this is exact up to the map allowance.
+const entryBytes = int64(unsafe.Sizeof(cacheEntry{})+2*unsafe.Sizeof(Query{})+unsafe.Sizeof(list.Element{})) + 16
 
 // newSweepCache builds a cache with the given bounds (0 leaves a bound
 // unset; with neither set the cache is disabled) sharing the given
@@ -111,8 +110,7 @@ func newSweepCache(maxEntries int, maxBytes int64, ttl time.Duration, adm *admis
 		ttl:        ttl,
 		adm:        adm,
 		now:        time.Now,
-		entries:    make(map[Query]*list.Element),
-		lru:        list.New(),
+		entries:    lru.New[Query, cacheEntry](maxEntries),
 		inflight:   make(map[Query]*inflightCall),
 	}
 	return c
@@ -129,28 +127,23 @@ func (c *sweepCache) enabled() bool { return c.maxEntries > 0 }
 // whose ctx ends while coalesced or queued gets its context error.
 func (c *sweepCache) do(ctx context.Context, q Query, sweep func() (Recommendation, error)) (rec Recommendation, stale bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[q]; ok {
-		e := el.Value.(*cacheEntry)
+	if e, ok := c.entries.Get(q); ok {
 		if e.expires.IsZero() || c.now().Before(e.expires) {
-			c.lru.MoveToFront(el)
 			c.hits++
-			rec := e.rec
 			c.mu.Unlock()
-			return rec, false, nil
+			return e.rec, false, nil
 		}
 		if c.adm.BrownoutActive() {
 			// Brownout: a stale answer NOW beats a shed, and re-sweeping is
 			// exactly the work brownout exists to refuse. The entry stays
-			// resident for the next degraded hit.
-			c.lru.MoveToFront(el)
+			// resident (and most recently used) for the next degraded hit.
 			c.staleServed++
-			rec := e.rec
 			c.mu.Unlock()
-			return rec, true, nil
+			return e.rec, true, nil
 		}
 		// Stale under TTL: drop it and fall through to the miss path so the
 		// caller re-sweeps against the current model.
-		c.removeLocked(el)
+		c.entries.Remove(q)
 		c.expired++
 	}
 	if call, ok := c.inflight[q]; ok {
@@ -242,7 +235,12 @@ func (c *sweepCache) do(ctx context.Context, q Query, sweep func() (Recommendati
 		}
 	}
 	if call.err == nil && c.enabled() {
-		c.insertLocked(q, call.rec)
+		// Put also replaces the entry of a benign same-key race.
+		var expires time.Time
+		if c.ttl > 0 {
+			expires = c.now().Add(c.ttl)
+		}
+		c.entries.Put(q, cacheEntry{rec: call.rec, expires: expires})
 	}
 	c.mu.Unlock()
 	if panicked != nil {
@@ -251,49 +249,22 @@ func (c *sweepCache) do(ctx context.Context, q Query, sweep func() (Recommendati
 	return call.rec, false, call.err
 }
 
-// insertLocked adds a sweep result, evicting least-recently-used entries
-// until the entry cap holds again. Callers hold the lock.
-func (c *sweepCache) insertLocked(q Query, rec Recommendation) {
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
-	}
-	if el, ok := c.entries[q]; ok { // lost a benign race with a same-key call
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.rec = rec
-		e.expires = expires
-		return
-	}
-	c.entries[q] = c.lru.PushFront(&cacheEntry{q: q, rec: rec, expires: expires})
-	for c.lru.Len() > c.maxEntries {
-		c.removeLocked(c.lru.Back())
-	}
-}
-
-// removeLocked drops one resident entry.
-func (c *sweepCache) removeLocked(el *list.Element) {
-	c.lru.Remove(el)
-	delete(c.entries, el.Value.(*cacheEntry).q)
-}
-
 // hotKeys returns up to n resident keys in heat order (most recently used
 // first); n <= 0 returns all. Expired entries are skipped — persisting a key
 // whose sweep already aged out would pre-sweep stale traffic at load.
 func (c *sweepCache) hotKeys(n int) []Query {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]Query, 0, c.lru.Len())
+	keys := make([]Query, 0, c.entries.Len())
 	now := c.now()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
+	for q, e := range c.entries.All() {
 		if n > 0 && len(keys) == n {
 			break
 		}
-		e := el.Value.(*cacheEntry)
 		if !e.expires.IsZero() && !now.Before(e.expires) {
 			continue
 		}
-		keys = append(keys, e.q)
+		keys = append(keys, q)
 	}
 	return keys
 }
@@ -304,7 +275,7 @@ func (c *sweepCache) stats() Stats {
 	defer c.mu.Unlock()
 	st := Stats{
 		Hits: c.hits, Misses: c.misses, Expired: c.expired,
-		Size: c.lru.Len(), Bytes: int64(c.lru.Len()) * entryBytes,
+		Size: c.entries.Len(), Bytes: int64(c.entries.Len()) * entryBytes,
 		ShedQueueFull: c.shedQueueFull, ShedDeadline: c.shedDeadline,
 		ShedBrownout: c.shedBrownout, CanceledQueued: c.canceledQueued,
 		StaleServed: c.staleServed,

@@ -1,6 +1,7 @@
 package guide
 
 import (
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -11,7 +12,8 @@ import (
 // (×2 per step) so one fixed layout resolves both sub-millisecond cache hits
 // and multi-second cold sweeps without tuning. The proxy's health prober
 // consumes these snapshots to score backends, so the wire types live here
-// rather than in the CLI.
+// rather than in the CLI, and its hedger reads its own routes' percentiles
+// from them (Metrics.Percentile).
 const (
 	latencyBucketCount = 20
 	latencyBucketBase  = 50 * time.Microsecond // first upper bound; last finite bound ≈ 26s
@@ -113,6 +115,37 @@ func (m *Metrics) route(name string) *latencyHistogram {
 // Observe records one request duration against the named route.
 func (m *Metrics) Observe(name string, d time.Duration) {
 	m.route(name).observe(d)
+}
+
+// Percentile returns the upper bound of the bucket holding the p-th
+// percentile (0 < p <= 100, nearest rank) of the named route's observations,
+// and how many observations the route has. The bound is never below that
+// percentile of the observations themselves. With no observations it
+// returns 0; when the percentile lies past the last finite bound, the
+// largest Duration. It allocates nothing.
+func (m *Metrics) Percentile(route string, p float64) (time.Duration, uint64) {
+	m.mu.Lock()
+	h := m.routes[route]
+	m.mu.Unlock()
+	if h == nil {
+		return 0, 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
+		return 0, 0
+	}
+	rank := min(max(uint64(math.Ceil(float64(h.count)*p/100)), 1), h.count)
+	var cum uint64
+	bound := latencyBucketBase
+	for _, n := range h.buckets {
+		cum += n
+		if cum >= rank {
+			return bound, h.count
+		}
+		bound *= 2
+	}
+	return math.MaxInt64, h.count
 }
 
 // Snapshot renders every route's histogram, keyed by route name.

@@ -123,10 +123,7 @@ func (c *Config) applyDefaults() {
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 30 * time.Second
 	}
-	if c.MeasureRetries < 0 {
-		c.MeasureRetries = 2
-	}
-	if c.MeasureRetries == 0 {
+	if c.MeasureRetries <= 0 {
 		c.MeasureRetries = 2
 	}
 	if c.BackoffBase <= 0 {
