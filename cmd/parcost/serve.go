@@ -87,9 +87,11 @@ func loadFleetRouter(path string, adm *admission.Controller, opts ...guide.Servi
 	if err != nil {
 		return nil, nil, err
 	}
-	// Decoding the bundle leaves garbage several times the model's size.
-	// Return it to the OS now: otherwise the first sweeps' allocations
-	// stack on pages the runtime has not yet released, raising peak RSS.
+	// Loading leaves the bundle's file bytes (about 40 MB for the paper's
+	// two-machine GB) as garbage beside the decoded trees. Return it to the
+	// OS now: otherwise the first sweeps' allocations stack on pages the
+	// runtime has not yet released, raising peak RSS (perfbench serve-cold
+	// on 2 vCPUs read about 165 MiB without this call, 136 MiB with it).
 	debug.FreeOSMemory()
 	router := guide.NewRouter(guide.WithAdmission(adm))
 	shards := make([]fleetShard, 0, len(entries))

@@ -1,7 +1,9 @@
 package guide
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -17,22 +19,31 @@ import (
 // answer queries without the dataset or a refit. `train -machines a,b`
 // writes one entry per machine and `train -machine a` a one-entry fleet.
 //
-// The file is one envelope with one sha256 over the whole payload, so
-// corruption anywhere — metadata, an entry's machine name or grid, or any
-// model state — is rejected at load. Other formats and versions, such as
-// version 1 bundles and the older parcost-advisor files, are refused with a
-// FormatError rather than read.
+// The file is a one-line JSON header — format, version and the sha256 of
+// everything after the line — followed by the body:
+//
+//	index    uvarint length, then JSON {meta, entries: [{machine, grid, kind}]}
+//	states   per index entry, in order: uvarint length, then the entry
+//	         model's state bytes (ml.ModelState.State)
+//
+// The one checksum over the body rejects corruption anywhere — metadata, an
+// entry's machine name or grid, or any model state — at load. Tree models
+// store their node arrays as binary tree blocks (tree.AppendState), so a
+// load parses the index as JSON and nothing else of a GB as text. Other
+// formats and versions are refused with a FormatError rather than read:
+// version 1 and 2 bundles and the older parcost-advisor files are each one
+// JSON envelope whose format and version the header reader finds in the
+// same place.
 const (
 	FleetBundleFormat  = "parcost-fleet"
-	FleetBundleVersion = 2
+	FleetBundleVersion = 3
 )
 
-// envelope is the on-disk wrapper of a fleet bundle.
-type envelope struct {
-	Format   string          `json:"format"`
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"` // sha256 hex of the payload bytes
-	Payload  json.RawMessage `json:"payload"`
+// bundleHeader is the first line of a fleet bundle.
+type bundleHeader struct {
+	Format   string `json:"format"`
+	Version  int    `json:"version"`
+	Checksum string `json:"checksum"` // sha256 hex of the body
 }
 
 // BundleMeta is the shared, informational metadata stored beside a bundle's
@@ -50,16 +61,17 @@ type FleetEntry struct {
 	Advisor *Advisor
 }
 
-// fleetPayload is the checksummed content of a bundle's envelope.
-type fleetPayload struct {
-	Meta    BundleMeta       `json:"meta"`
-	Entries []fleetEntryJSON `json:"entries"`
+// fleetIndex is the JSON section at the front of a bundle's body: the
+// metadata and, per entry, everything but the model state.
+type fleetIndex struct {
+	Meta    BundleMeta   `json:"meta"`
+	Entries []indexEntry `json:"entries"`
 }
 
-type fleetEntryJSON struct {
-	Machine string        `json:"machine"`
-	Grid    dataset.Grid  `json:"grid"`
-	Model   ml.ModelState `json:"model"`
+type indexEntry struct {
+	Machine string       `json:"machine"`
+	Grid    dataset.Grid `json:"grid"`
+	Kind    string       `json:"kind"` // the model's ml.ModelState kind
 }
 
 // FormatError reports an artifact this reader does not decode: another
@@ -117,7 +129,9 @@ func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("guide: EncodeBundle requires at least one entry")
 	}
-	payload := fleetPayload{Meta: meta, Entries: make([]fleetEntryJSON, 0, len(entries))}
+	index := fleetIndex{Meta: meta, Entries: make([]indexEntry, 0, len(entries))}
+	states := make([][]byte, 0, len(entries))
+	size := 0
 	seen := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		if err := checkMachine(seen, e.Machine); err != nil {
@@ -133,62 +147,119 @@ func EncodeBundle(entries []FleetEntry, meta BundleMeta) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("guide: encoding bundle entry %q: %w", e.Machine, err)
 		}
-		payload.Entries = append(payload.Entries, fleetEntryJSON{Machine: e.Machine, Grid: e.Advisor.Grid, Model: model})
+		index.Entries = append(index.Entries, indexEntry{Machine: e.Machine, Grid: e.Advisor.Grid, Kind: model.Kind})
+		states = append(states, model.State)
+		size += binary.MaxVarintLen64 + len(model.State)
 	}
-	raw, err := json.Marshal(payload)
+	idx, err := json.Marshal(index)
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(raw)
-	return json.Marshal(envelope{
+	body := appendSection(make([]byte, 0, binary.MaxVarintLen64+len(idx)+size), idx)
+	for _, st := range states {
+		body = appendSection(body, st)
+	}
+	sum := sha256.Sum256(body)
+	hdr, err := json.Marshal(bundleHeader{
 		Format:   FleetBundleFormat,
 		Version:  FleetBundleVersion,
 		Checksum: hex.EncodeToString(sum[:]),
-		Payload:  raw,
 	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(hdr)+1+len(body))
+	return append(append(append(out, hdr...), '\n'), body...), nil
 }
 
-// DecodeFleet validates a fleet bundle (format, version, payload checksum,
+// appendSection appends sec to b, prefixed by its length as a uvarint.
+func appendSection(b, sec []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(sec))), sec...)
+}
+
+// readSection splits the length-prefixed section at the front of b from the
+// bytes after it, refusing a length that overruns b.
+func readSection(b []byte) (sec, rest []byte, err error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil, nil, fmt.Errorf("section length overruns the %d bytes left", len(b))
+	}
+	end := k + int(n)
+	return b[k:end:end], b[end:], nil
+}
+
+// readHeader checks a bundle's header line — format, version, then the
+// checksum over the rest — and returns the body after it. The header is the
+// file's first JSON value, so a version 1 or 2 bundle or a parcost-advisor
+// file, each one JSON envelope, yields its own format and version here and
+// is refused with a FormatError.
+func readHeader(data []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var h bundleHeader
+	if err := dec.Decode(&h); err != nil {
+		return nil, fmt.Errorf("guide: malformed fleet bundle: %w", err)
+	}
+	if h.Format != FleetBundleFormat || h.Version != FleetBundleVersion {
+		return nil, &FormatError{Format: h.Format, Version: h.Version}
+	}
+	off := int(dec.InputOffset())
+	if off >= len(data) || data[off] != '\n' {
+		return nil, fmt.Errorf("guide: malformed fleet bundle: no newline after the header")
+	}
+	body := data[off+1:]
+	sum := sha256.Sum256(body)
+	if hex.EncodeToString(sum[:]) != h.Checksum {
+		return nil, fmt.Errorf("guide: fleet bundle checksum mismatch (corrupt bundle?)")
+	}
+	return body, nil
+}
+
+// DecodeFleet validates a fleet bundle (format, version, body checksum,
 // then every entry: its machine name, its candidate grid — both axes
 // positive and strictly increasing — and its model state) and rebuilds its
-// advisors in entry order. A bad entry anywhere in the fleet fails the
-// whole load: a serve process must not come up answering one machine
-// correctly and another from corrupt state.
+// advisors in entry order. Each model decodes straight from its slice of
+// data. A bad entry anywhere in the fleet fails the whole load: a serve
+// process must not come up answering one machine correctly and another
+// from corrupt state.
 func DecodeFleet(data []byte) ([]FleetEntry, BundleMeta, error) {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet bundle: %w", err)
+	body, err := readHeader(data)
+	if err != nil {
+		return nil, BundleMeta{}, err
 	}
-	if env.Format != FleetBundleFormat || env.Version != FleetBundleVersion {
-		return nil, BundleMeta{}, &FormatError{Format: env.Format, Version: env.Version}
+	idx, body, err := readSection(body)
+	if err != nil {
+		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet bundle index: %w", err)
 	}
-	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.Checksum {
-		return nil, BundleMeta{}, fmt.Errorf("guide: fleet bundle checksum mismatch (corrupt bundle?)")
+	var index fleetIndex
+	if err := json.Unmarshal(idx, &index); err != nil {
+		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet bundle index: %w", err)
 	}
-	var payload fleetPayload
-	if err := json.Unmarshal(env.Payload, &payload); err != nil {
-		return nil, BundleMeta{}, fmt.Errorf("guide: malformed fleet payload: %w", err)
-	}
-	if len(payload.Entries) == 0 {
+	if len(index.Entries) == 0 {
 		return nil, BundleMeta{}, fmt.Errorf("guide: fleet bundle has no entries")
 	}
-	entries := make([]FleetEntry, 0, len(payload.Entries))
-	seen := make(map[string]bool, len(payload.Entries))
-	for _, e := range payload.Entries {
+	entries := make([]FleetEntry, 0, len(index.Entries))
+	seen := make(map[string]bool, len(index.Entries))
+	for _, e := range index.Entries {
 		if err := checkMachine(seen, e.Machine); err != nil {
 			return nil, BundleMeta{}, err
 		}
 		if err := checkGrid(e.Grid); err != nil {
 			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q: %w", e.Machine, err)
 		}
-		model, err := ml.DecodeModel(e.Model)
+		var state []byte
+		if state, body, err = readSection(body); err != nil {
+			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q model state: %w", e.Machine, err)
+		}
+		model, err := ml.DecodeModel(ml.ModelState{Kind: e.Kind, State: state})
 		if err != nil {
 			return nil, BundleMeta{}, fmt.Errorf("guide: bundle entry %q: %w", e.Machine, err)
 		}
 		entries = append(entries, FleetEntry{Machine: e.Machine, Advisor: &Advisor{Model: model, Grid: e.Grid}})
 	}
-	return entries, payload.Meta, nil
+	if len(body) != 0 {
+		return nil, BundleMeta{}, fmt.Errorf("guide: fleet bundle has %d bytes after its last model state", len(body))
+	}
+	return entries, index.Meta, nil
 }
 
 // SaveBundle writes a fleet bundle to a file.

@@ -2,8 +2,7 @@ package guide
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -12,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"parcost/internal/ccsd"
 	"parcost/internal/dataset"
 	"parcost/internal/machine"
 	"parcost/internal/ml/ensemble"
@@ -104,10 +104,11 @@ func mustSpec(t *testing.T, name string) machine.Spec {
 
 // TestLoadFleetSingleAdvisorArtifact pins that older artifact files are
 // refused, not read: a parcost-advisor file (one advisor, what `parcost
-// train -machine` wrote before fleet bundles became the only format) and a
-// version 1 fleet bundle, both written by that older code. Each fails with
-// a FormatError naming its format and version and pointing at `parcost
-// train`, through LoadFleet and LoadAdvisor alike.
+// train -machine` wrote before fleet bundles became the only format), a
+// version 1 fleet bundle and a version 2 fleet bundle (one JSON envelope,
+// tree node arrays as JSON numbers), each written by that older code. Each
+// fails with a FormatError naming its format and version and pointing at
+// `parcost train`, through LoadFleet and LoadAdvisor alike.
 func TestLoadFleetSingleAdvisorArtifact(t *testing.T) {
 	for _, tc := range []struct {
 		file, format string
@@ -115,6 +116,7 @@ func TestLoadFleetSingleAdvisorArtifact(t *testing.T) {
 	}{
 		{"advisor_v1.json", "parcost-advisor", 1},
 		{"fleet_v1.json", FleetBundleFormat, 1},
+		{"fleet_v2.json", FleetBundleFormat, 2},
 	} {
 		path := filepath.Join("testdata", tc.file)
 		_, _, fleetErr := LoadFleet(path)
@@ -134,32 +136,58 @@ func TestLoadFleetSingleAdvisorArtifact(t *testing.T) {
 	}
 }
 
-// reseal rebuilds a bundle after mutate edits its envelope and payload,
-// with a checksum that matches the edited payload, so the check under test
-// is the one after the checksum.
-func reseal(t *testing.T, data []byte, mutate func(*envelope, *fleetPayload)) []byte {
+// bundleParts is a bundle taken apart: its header line, its index and each
+// entry's model state.
+type bundleParts struct {
+	hdr    bundleHeader
+	index  fleetIndex
+	states [][]byte
+}
+
+// splitBundle takes a well-formed bundle apart.
+func splitBundle(t *testing.T, data []byte) bundleParts {
 	t.Helper()
-	var b envelope
-	if err := json.Unmarshal(data, &b); err != nil {
+	var p bundleParts
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		t.Fatal("bundle has no header line")
+	}
+	if err := json.Unmarshal(data[:nl], &p.hdr); err != nil {
 		t.Fatal(err)
 	}
-	var p fleetPayload
-	if err := json.Unmarshal(b.Payload, &p); err != nil {
-		t.Fatal(err)
-	}
-	mutate(&b, &p)
-	raw, err := json.Marshal(p)
+	idx, rest, err := readSection(data[nl+1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(raw)
-	b.Checksum = hex.EncodeToString(sum[:])
-	b.Payload = raw
-	out, err := json.Marshal(b)
+	if err := json.Unmarshal(idx, &p.index); err != nil {
+		t.Fatal(err)
+	}
+	for len(rest) > 0 {
+		var st []byte
+		if st, rest, err = readSection(rest); err != nil {
+			t.Fatal(err)
+		}
+		p.states = append(p.states, st)
+	}
+	return p
+}
+
+// reseal rebuilds a bundle after mutate edits its parts, with a checksum
+// that matches the edited body, so the check under test is the one after
+// the checksum.
+func reseal(t *testing.T, data []byte, mutate func(*bundleParts)) []byte {
+	t.Helper()
+	p := splitBundle(t, data)
+	mutate(&p)
+	idx, err := json.Marshal(p.index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	body := appendSection(nil, idx)
+	for _, st := range p.states {
+		body = appendSection(body, st)
+	}
+	return sealPayload(p.hdr.Format, p.hdr.Version, body)
 }
 
 // TestBundleRejections is the integrity acceptance criterion: corrupted
@@ -183,39 +211,26 @@ func TestBundleRejections(t *testing.T) {
 		t.Fatal("truncated bundle accepted")
 	}
 
-	// Whole-payload tamper: outer checksum catches it.
+	// Whole-body tamper: the checksum catches it.
 	wholeTamper := []byte(strings.Replace(string(data), "aurora", "borealis", 1))
 	if string(wholeTamper) == string(data) {
 		t.Fatal("tamper target not found")
 	}
 	if _, _, err := DecodeFleet(wholeTamper); err == nil {
-		t.Fatal("payload-tampered bundle accepted")
+		t.Fatal("body-tampered bundle accepted")
 	}
 
 	// A flipped byte inside either entry's model state, checksum left as
 	// it was, fails the one checksum.
-	for _, machineName := range []string{"aurora", "frontier"} {
-		var b envelope
-		if err := json.Unmarshal(data, &b); err != nil {
-			t.Fatal(err)
+	parts := splitBundle(t, data)
+	for i, machineName := range []string{"aurora", "frontier"} {
+		if parts.index.Entries[i].Machine != machineName {
+			t.Fatalf("entry %d is %q, want %q", i, parts.index.Entries[i].Machine, machineName)
 		}
-		var p fleetPayload
-		if err := json.Unmarshal(b.Payload, &p); err != nil {
-			t.Fatal(err)
-		}
-		idx := -1
-		for i, e := range p.Entries {
-			if e.Machine == machineName {
-				idx = i
-			}
-		}
-		st := p.Entries[idx].Model.State
-		at := bytes.Index(b.Payload, st) + bytes.LastIndexAny(st, "0123456789")
-		b.Payload[at] = '0' + (b.Payload[at]-'0'+1)%10
-		bad, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := parts.states[i]
+		at := bytes.Index(data, st) + len(st)/2
+		bad := append([]byte(nil), data...)
+		bad[at] ^= 0x40
 		if _, _, err := DecodeFleet(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("%s state byte flip: %v, want a checksum error", machineName, err)
 		}
@@ -224,13 +239,17 @@ func TestBundleRejections(t *testing.T) {
 	// A malformed entry state under a valid checksum is rejected by the
 	// state decoder, naming the shard.
 	for i, machineName := range []string{"aurora", "frontier"} {
-		bad := reseal(t, data, func(_ *envelope, p *fleetPayload) {
-			p.Entries[i].Model.State = json.RawMessage(`{"num_trees":1,"trees":[null]}`)
-		})
-		if _, _, err := DecodeFleet(bad); err == nil {
-			t.Fatalf("bundle with malformed %q state accepted", machineName)
-		} else if !strings.Contains(err.Error(), machineName) {
-			t.Fatalf("malformed-state error does not name the shard: %v", err)
+		for name, state := range map[string][]byte{
+			"garbage":   []byte("not a model state"),
+			"truncated": parts.states[i][:len(parts.states[i])-1],
+			"empty":     nil,
+		} {
+			bad := reseal(t, data, func(p *bundleParts) { p.states[i] = state })
+			if _, _, err := DecodeFleet(bad); err == nil {
+				t.Fatalf("bundle with %s %q state accepted", name, machineName)
+			} else if !strings.Contains(err.Error(), machineName) {
+				t.Fatalf("%s-state error does not name the shard: %v", name, err)
+			}
 		}
 	}
 
@@ -244,7 +263,7 @@ func TestBundleRejections(t *testing.T) {
 		"empty tiles":    {Nodes: []int{5}},
 	} {
 		for i, machineName := range []string{"aurora", "frontier"} {
-			bad := reseal(t, data, func(_ *envelope, p *fleetPayload) { p.Entries[i].Grid = grid })
+			bad := reseal(t, data, func(p *bundleParts) { p.index.Entries[i].Grid = grid })
 			if _, _, err := DecodeFleet(bad); err == nil || !strings.Contains(err.Error(), machineName) {
 				t.Fatalf("%s grid on %s: error %v, want a refusal naming the machine", name, machineName, err)
 			}
@@ -256,20 +275,38 @@ func TestBundleRejections(t *testing.T) {
 		}
 	}
 
-	// Payload-level rejections under a valid checksum.
-	for name, mutate := range map[string]func(*envelope, *fleetPayload){
-		"no entries": func(_ *envelope, p *fleetPayload) { p.Entries = nil },
-		"duplicate machine": func(_ *envelope, p *fleetPayload) {
-			p.Entries = append(p.Entries, p.Entries[0])
+	// Body-level rejections under a valid checksum.
+	for name, mutate := range map[string]func(*bundleParts){
+		"no entries": func(p *bundleParts) { p.index.Entries, p.states = nil, nil },
+		"duplicate machine": func(p *bundleParts) {
+			p.index.Entries = append(p.index.Entries, p.index.Entries[0])
+			p.states = append(p.states, p.states[0])
 		},
-		"empty machine":  func(_ *envelope, p *fleetPayload) { p.Entries[1].Machine = "" },
-		"empty grid":     func(_ *envelope, p *fleetPayload) { p.Entries[0].Grid.Nodes = nil },
-		"unknown kind":   func(_ *envelope, p *fleetPayload) { p.Entries[0].Model.Kind = "ml.does-not-exist" },
-		"wrong format":   func(b *envelope, _ *fleetPayload) { b.Format = "some-other-format" },
-		"future version": func(b *envelope, _ *fleetPayload) { b.Version = FleetBundleVersion + 1 },
-		"v1 version":     func(b *envelope, _ *fleetPayload) { b.Version = 1 },
+		"empty machine":  func(p *bundleParts) { p.index.Entries[1].Machine = "" },
+		"empty grid":     func(p *bundleParts) { p.index.Entries[0].Grid.Nodes = nil },
+		"unknown kind":   func(p *bundleParts) { p.index.Entries[0].Kind = "ml.does-not-exist" },
+		"missing state":  func(p *bundleParts) { p.states = p.states[:1] },
+		"extra state":    func(p *bundleParts) { p.states = append(p.states, p.states[0]) },
+		"wrong format":   func(p *bundleParts) { p.hdr.Format = "some-other-format" },
+		"future version": func(p *bundleParts) { p.hdr.Version = FleetBundleVersion + 1 },
+		"v1 version":     func(p *bundleParts) { p.hdr.Version = 1 },
+		"v2 version":     func(p *bundleParts) { p.hdr.Version = 2 },
 	} {
 		if _, _, err := DecodeFleet(reseal(t, data, mutate)); err == nil {
+			t.Fatalf("%s bundle accepted", name)
+		}
+	}
+
+	// Framing a valid checksum cannot vouch for: a header without its
+	// newline, and section lengths that overrun the body.
+	nl := bytes.IndexByte(data, '\n')
+	for name, bad := range map[string][]byte{
+		"no newline":       append(append([]byte(nil), data[:nl]...), data[nl+1:]...),
+		"index overruns":   sealPayload(FleetBundleFormat, FleetBundleVersion, binary.AppendUvarint(nil, 1<<40)),
+		"state overruns":   sealPayload(FleetBundleFormat, FleetBundleVersion, data[nl+1:len(data)-1]),
+		"bad index length": sealPayload(FleetBundleFormat, FleetBundleVersion, []byte{0xff}),
+	} {
+		if _, _, err := DecodeFleet(bad); err == nil {
 			t.Fatalf("%s bundle accepted", name)
 		}
 	}
@@ -292,4 +329,32 @@ func TestBundleRejections(t *testing.T) {
 			t.Fatalf("%s: error %v, want a FormatError", raw, err)
 		}
 	}
+}
+
+// BenchmarkDecodeFleet times DecodeFleet on the bundle `parcost train
+// -machines aurora,frontier` writes: the paper GB (750 trees, depth 10)
+// fitted per machine on a 2300-row simulated dataset. MB/s is bundle bytes
+// decoded per second; bundle_MB is the bundle's size.
+func BenchmarkDecodeFleet(b *testing.B) {
+	var entries []FleetEntry
+	for _, spec := range []machine.Spec{machine.Aurora(), machine.Frontier()} {
+		d := ccsd.Generate(spec, ccsd.GenConfig{TargetSize: 2300, Noise: true, Seed: 1})
+		adv, err := NewAdvisor(ensemble.NewGradientBoostingPaper(1), d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries = append(entries, FleetEntry{Machine: spec.Name, Advisor: adv})
+	}
+	data, err := EncodeBundle(entries, BundleMeta{Source: "simulated seed=1"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := DecodeFleet(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data))/1e6, "bundle_MB")
 }

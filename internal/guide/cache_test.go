@@ -1,6 +1,8 @@
 package guide
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +183,38 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 	if got := model.callCount(); got != 2 {
 		t.Fatal("re-inserted entry did not get a fresh TTL")
+	}
+}
+
+// TestCacheExpiredEntryLeavesOnFailedResweep: an expired entry is dropped
+// before its re-sweep, so a re-sweep that fails leaves the key out of the
+// cache: it holds no slot, and the next query for it counts one more miss,
+// not a second expiry.
+func TestCacheExpiredEntryLeavesOnFailedResweep(t *testing.T) {
+	adv, _ := fastAdvisor(5)
+	svc, err := newTestService(adv, WithTTL(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	svc.cache.now = func() time.Time { return now }
+	q := Query{Problem: problemN(0), Objective: ShortestTime}
+	if _, err := svc.Recommend(q.Problem, q.Objective); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(61 * time.Second) // past TTL
+
+	failed := errors.New("sweep failed")
+	fail := func() (Recommendation, error) { return Recommendation{}, failed }
+	for i, want := range []Stats{{Misses: 2, Expired: 1}, {Misses: 3, Expired: 1}} {
+		if _, _, err := svc.cache.do(context.Background(), q, fail); !errors.Is(err, failed) {
+			t.Fatalf("query %d: error %v, want the sweep's", i, err)
+		}
+		st := svc.CacheStats()
+		if st.Size != 0 || st.Misses != want.Misses || st.Expired != want.Expired {
+			t.Fatalf("query %d after a failed re-sweep: size %d, misses %d, expired %d; want 0, %d, %d",
+				i, st.Size, st.Misses, st.Expired, want.Misses, want.Expired)
+		}
 	}
 }
 

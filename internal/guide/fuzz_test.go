@@ -11,15 +11,16 @@ import (
 
 // FuzzDecodeFleet: the fleet bundle decoder behind serve, retrain and the
 // query commands never panics, and every fleet it accepts re-encodes to a
-// fixed point. Each input is a format, a version and payload bytes, sealed
-// with a checksum that matches them, so mutations get past the checksum to
-// the payload, entry and model-state decoders. Seeds live under
-// testdata/fuzz/FuzzDecodeFleet (a one-entry tiny-GB fleet, the same fleet
-// with its node counts out of order, a version 1 bundle, a parcost-advisor
-// file, truncated payload bytes).
+// fixed point. Each input is a format, a version and body bytes, sealed
+// under a header line whose checksum matches them, so mutations get past
+// the checksum to the index, entry and model-state decoders. Seeds live
+// under testdata/fuzz/FuzzDecodeFleet: a one-entry tiny-GB fleet, the same
+// fleet with its node counts out of order, with a NaN threshold, and cut
+// inside a tree block, and the older artifacts refused by version (a
+// version 2 bundle's payload, a version 1 bundle, a parcost-advisor file).
 func FuzzDecodeFleet(f *testing.F) {
-	f.Fuzz(func(t *testing.T, format string, version int, payload []byte) {
-		entries, meta, err := DecodeFleet(sealPayload(format, version, payload))
+	f.Fuzz(func(t *testing.T, format string, version int, body []byte) {
+		entries, meta, err := DecodeFleet(sealPayload(format, version, body))
 		if err != nil {
 			return
 		}
@@ -36,20 +37,20 @@ func FuzzDecodeFleet(f *testing.F) {
 			t.Fatalf("re-encoding twice: %v", err)
 		}
 		if !bytes.Equal(once, twice) {
-			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", once, twice)
+			t.Fatalf("re-encoding is not a fixed point:\n%q\n%q", once, twice)
 		}
 	})
 }
 
-// sealPayload wraps payload bytes, valid JSON or not, in an envelope of the
-// given format and version whose checksum matches them.
-func sealPayload(format string, version int, payload []byte) []byte {
-	tag, _ := json.Marshal(format)
-	var b bytes.Buffer
-	fmt.Fprintf(&b, `{"format":%s,"version":%d,"checksum":"%x","payload":`, tag, version, sha256.Sum256(payload))
-	b.Write(payload)
-	b.WriteString(`}`)
-	return b.Bytes()
+// sealPayload lays out a bundle of the given format and version around body
+// bytes, well formed or not: a header line whose checksum matches them, then
+// the body.
+func sealPayload(format string, version int, body []byte) []byte {
+	hdr, err := json.Marshal(bundleHeader{Format: format, Version: version, Checksum: fmt.Sprintf("%x", sha256.Sum256(body))})
+	if err != nil {
+		panic(err)
+	}
+	return append(append(hdr, '\n'), body...)
 }
 
 // FuzzDecodeWarmSet: the warm-set decoder behind POST /v1/warmset and the

@@ -40,12 +40,15 @@
 //     aggregate CacheStats feed observability; SaveWarmSet/LoadWarmSet
 //     persist the hottest cache keys across restarts and pre-sweep them at
 //     startup.
-//   - Artifacts: the fleet bundle is the one file format. SaveBundle
-//     writes N named advisors (each a candidate grid plus an ml.ModelState)
-//     and shared metadata under one versioned envelope with one sha256
-//     over the payload; LoadFleet reads it back, and LoadAdvisor reads a
-//     one-entry fleet. Other formats and versions are refused with a
-//     FormatError.
+//   - Artifacts: the fleet bundle (version 3) is the one file format.
+//     SaveBundle writes N named advisors and shared metadata: a one-line
+//     header (format, version, one sha256 over the rest), a JSON index of
+//     each entry's machine, candidate grid and model kind, then each
+//     entry's ml.ModelState bytes, length-delimited. Tree models store
+//     their node arrays there as binary tree blocks. LoadFleet reads it
+//     back, handing each state slice to ml.DecodeModel in place, and
+//     LoadAdvisor reads a one-entry fleet. Other formats and versions,
+//     version 1 and 2 bundles included, are refused with a FormatError.
 package guide
 
 import (

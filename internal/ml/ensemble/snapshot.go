@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 
@@ -21,9 +22,19 @@ func init() {
 	ml.RegisterSnapshot(AdaBoostSnapshotKind, func() ml.Snapshotter { return &AdaBoost{} })
 }
 
-// memberStates returns each fitted member tree's state.
-func memberStates(trees []*tree.Tree) ([]tree.State, error) {
-	out := make([]tree.State, len(trees))
+// An ensemble state is its scalar header as JSON, prefixed by the header's
+// length as a uvarint, followed by one tree block per member (see
+// tree.AppendState) up to the end of the state. No JSON pass touches the
+// members' node arrays.
+
+// memberStates encodes header and then each fitted member tree's block.
+func memberStates(header any, trees []*tree.Tree) ([]byte, error) {
+	h, err := json.Marshal(header)
+	if err != nil {
+		return nil, err
+	}
+	b := binary.AppendUvarint(nil, uint64(len(h)))
+	b = append(b, h...)
 	for i, tr := range trees {
 		if tr == nil {
 			return nil, fmt.Errorf("member tree %d is not fitted", i)
@@ -32,37 +43,57 @@ func memberStates(trees []*tree.Tree) ([]tree.State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("member tree %d: %w", i, err)
 		}
-		out[i] = st
+		if b, err = tree.AppendState(b, &st); err != nil {
+			return nil, fmt.Errorf("member tree %d: %w", i, err)
+		}
 	}
-	return out, nil
+	return b, nil
 }
 
-// memberTrees validates member states — each on its own, and all over the
-// same features — and rebuilds the trees.
-func memberTrees(states []tree.State) ([]*tree.Tree, error) {
-	out := make([]*tree.Tree, len(states))
-	for i := range states {
-		if states[i].Dim != states[0].Dim {
-			return nil, fmt.Errorf("member tree %d has dim %d, member 0 has %d", i, states[i].Dim, states[0].Dim)
-		}
-		tr, err := tree.FromState(&states[i])
+// memberTrees decodes a state's header into header and rebuilds its member
+// trees, validating each on its own and all over the same features. A
+// state with no members is refused.
+func memberTrees(data []byte, header any) ([]*tree.Tree, error) {
+	hlen, k := binary.Uvarint(data)
+	if k <= 0 || hlen > uint64(len(data)-k) {
+		return nil, fmt.Errorf("state header length overruns the %d bytes of the state", len(data))
+	}
+	if err := json.Unmarshal(data[k:k+int(hlen)], header); err != nil {
+		return nil, err
+	}
+	var out []*tree.Tree
+	dim := 0
+	for rest := data[k+int(hlen):]; len(rest) > 0; {
+		i := len(out)
+		st, next, err := tree.ReadState(rest)
 		if err != nil {
 			return nil, fmt.Errorf("member tree %d: %w", i, err)
 		}
-		out[i] = tr
+		if i == 0 {
+			dim = st.Dim
+		} else if st.Dim != dim {
+			return nil, fmt.Errorf("member tree %d has dim %d, member 0 has %d", i, st.Dim, dim)
+		}
+		tr, err := tree.FromState(&st)
+		if err != nil {
+			return nil, fmt.Errorf("member tree %d: %w", i, err)
+		}
+		out, rest = append(out, tr), next
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("state has no trees")
 	}
 	return out, nil
 }
 
-// gbState is the serialized fitted state of a GradientBoosting ensemble.
+// gbState is the scalar header of a GradientBoosting state.
 type gbState struct {
-	NumTrees     int          `json:"num_trees"`
-	LearningRate float64      `json:"learning_rate"`
-	Params       tree.Params  `json:"params"`
-	Subsample    float64      `json:"subsample"`
-	Seed         uint64       `json:"seed"`
-	Init         float64      `json:"init"`
-	Trees        []tree.State `json:"trees"`
+	NumTrees     int         `json:"num_trees"`
+	LearningRate float64     `json:"learning_rate"`
+	Params       tree.Params `json:"params"`
+	Subsample    float64     `json:"subsample"`
+	Seed         uint64      `json:"seed"`
+	Init         float64     `json:"init"`
 }
 
 // SnapshotKind returns the artifact kind identifier.
@@ -73,26 +104,20 @@ func (g *GradientBoosting) SnapshotState() ([]byte, error) {
 	if g.trees == nil {
 		return nil, fmt.Errorf("ensemble: GradientBoosting snapshot before Fit")
 	}
-	trees, err := memberStates(g.trees)
+	b, err := memberStates(gbState{
+		NumTrees: g.NumTrees, LearningRate: g.LearningRate, Params: g.Params,
+		Subsample: g.Subsample, Seed: g.Seed, Init: g.init,
+	}, g.trees)
 	if err != nil {
 		return nil, fmt.Errorf("ensemble: GB snapshot: %w", err)
 	}
-	return json.Marshal(gbState{
-		NumTrees: g.NumTrees, LearningRate: g.LearningRate, Params: g.Params,
-		Subsample: g.Subsample, Seed: g.Seed, Init: g.init, Trees: trees,
-	})
+	return b, nil
 }
 
 // RestoreState rebuilds the fitted ensemble.
 func (g *GradientBoosting) RestoreState(data []byte) error {
 	var st gbState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if len(st.Trees) == 0 {
-		return fmt.Errorf("ensemble: GB state has no trees")
-	}
-	trees, err := memberTrees(st.Trees)
+	trees, err := memberTrees(data, &st)
 	if err != nil {
 		return fmt.Errorf("ensemble: GB restore: %w", err)
 	}
@@ -103,14 +128,13 @@ func (g *GradientBoosting) RestoreState(data []byte) error {
 	return nil
 }
 
-// rfState is the serialized fitted state of a RandomForest.
+// rfState is the scalar header of a RandomForest state.
 type rfState struct {
-	NumTrees      int          `json:"num_trees"`
-	Params        tree.Params  `json:"params"`
-	Seed          uint64       `json:"seed"`
-	BootstrapFrac float64      `json:"bootstrap_frac"`
-	Name          string       `json:"name"`
-	Trees         []tree.State `json:"trees"`
+	NumTrees      int         `json:"num_trees"`
+	Params        tree.Params `json:"params"`
+	Seed          uint64      `json:"seed"`
+	BootstrapFrac float64     `json:"bootstrap_frac"`
+	Name          string      `json:"name"`
 }
 
 // SnapshotKind returns the artifact kind identifier.
@@ -121,26 +145,20 @@ func (f *RandomForest) SnapshotState() ([]byte, error) {
 	if f.trees == nil {
 		return nil, fmt.Errorf("ensemble: RandomForest snapshot before Fit")
 	}
-	trees, err := memberStates(f.trees)
+	b, err := memberStates(rfState{
+		NumTrees: f.NumTrees, Params: f.Params, Seed: f.Seed,
+		BootstrapFrac: f.BootstrapFrac, Name: f.name,
+	}, f.trees)
 	if err != nil {
 		return nil, fmt.Errorf("ensemble: RF snapshot: %w", err)
 	}
-	return json.Marshal(rfState{
-		NumTrees: f.NumTrees, Params: f.Params, Seed: f.Seed,
-		BootstrapFrac: f.BootstrapFrac, Name: f.name, Trees: trees,
-	})
+	return b, nil
 }
 
 // RestoreState rebuilds the fitted forest.
 func (f *RandomForest) RestoreState(data []byte) error {
 	var st rfState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if len(st.Trees) == 0 {
-		return fmt.Errorf("ensemble: RF state has no trees")
-	}
-	trees, err := memberTrees(st.Trees)
+	trees, err := memberTrees(data, &st)
 	if err != nil {
 		return fmt.Errorf("ensemble: RF restore: %w", err)
 	}
@@ -153,14 +171,14 @@ func (f *RandomForest) RestoreState(data []byte) error {
 	return nil
 }
 
-// abState is the serialized fitted state of an AdaBoost.R2 ensemble.
+// abState is the scalar header of an AdaBoost.R2 state: one vote weight
+// per member tree.
 type abState struct {
-	NumTrees int          `json:"num_trees"`
-	Params   tree.Params  `json:"params"`
-	Seed     uint64       `json:"seed"`
-	Loss     LossKind     `json:"loss"`
-	Betas    []float64    `json:"betas"`
-	Trees    []tree.State `json:"trees"`
+	NumTrees int         `json:"num_trees"`
+	Params   tree.Params `json:"params"`
+	Seed     uint64      `json:"seed"`
+	Loss     LossKind    `json:"loss"`
+	Betas    []float64   `json:"betas"`
 }
 
 // SnapshotKind returns the artifact kind identifier.
@@ -171,28 +189,24 @@ func (a *AdaBoost) SnapshotState() ([]byte, error) {
 	if !a.fitted {
 		return nil, fmt.Errorf("ensemble: AdaBoost snapshot before Fit")
 	}
-	trees, err := memberStates(a.trees)
+	b, err := memberStates(abState{
+		NumTrees: a.NumTrees, Params: a.Params, Seed: a.Seed, Loss: a.Loss, Betas: a.betas,
+	}, a.trees)
 	if err != nil {
 		return nil, fmt.Errorf("ensemble: AB snapshot: %w", err)
 	}
-	return json.Marshal(abState{
-		NumTrees: a.NumTrees, Params: a.Params, Seed: a.Seed, Loss: a.Loss,
-		Betas: a.betas, Trees: trees,
-	})
+	return b, nil
 }
 
 // RestoreState rebuilds the fitted ensemble.
 func (a *AdaBoost) RestoreState(data []byte) error {
 	var st abState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	if len(st.Trees) == 0 || len(st.Betas) != len(st.Trees) {
-		return fmt.Errorf("ensemble: AB state has %d trees but %d vote weights", len(st.Trees), len(st.Betas))
-	}
-	trees, err := memberTrees(st.Trees)
+	trees, err := memberTrees(data, &st)
 	if err != nil {
 		return fmt.Errorf("ensemble: AB restore: %w", err)
+	}
+	if len(st.Betas) != len(trees) {
+		return fmt.Errorf("ensemble: AB state has %d trees but %d vote weights", len(trees), len(st.Betas))
 	}
 	a.NumTrees, a.Params, a.Seed, a.Loss = st.NumTrees, st.Params, st.Seed, st.Loss
 	a.trees, a.betas, a.fitted = trees, st.Betas, true

@@ -2,8 +2,9 @@ package ml_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"parcost/internal/ml"
@@ -11,20 +12,34 @@ import (
 	"parcost/internal/ml/tree"
 )
 
-// FuzzDecodeModel feeds arbitrary tree.cart and ensemble.gb states through
-// DecodeModel, so mutations reach the state decoders. Properties:
+// fuzzKinds are the state decoders FuzzDecodeModel reaches: the tree and
+// the three ensembles that share its member codec. A fuzz input's kind
+// byte picks one, modulo the list's length.
+var fuzzKinds = []string{
+	tree.TreeSnapshotKind,
+	ensemble.GradientBoostingSnapshotKind,
+	ensemble.RandomForestSnapshotKind,
+	ensemble.AdaBoostSnapshotKind,
+}
+
+// FuzzDecodeModel feeds arbitrary tree.cart, ensemble.gb, ensemble.rf and
+// ensemble.ab states through DecodeModel, so mutations reach the tree
+// block codec and the ensemble headers. Properties:
 //   - decoding never panics;
 //   - a decoded model predicts rows of its state's declared width, and
 //     reports feature importances, without panicking;
 //   - re-encoding a decoded model is a fixed point.
 //
-// Seeds are a small fitted tree and a 5-tree GB; testdata/fuzz holds the
-// corpus, every crasher found included.
+// Seeds are a small fitted tree and one small fitted ensemble of each kind;
+// testdata/fuzz holds the corpus, every crasher found included.
 func FuzzDecodeModel(f *testing.F) {
 	x, y := synthXY(60, 3)
-	dt := tree.New(tree.Params{MaxDepth: 3, Splitter: tree.SplitterExact}, nil)
-	gb := ensemble.NewGradientBoosting(5, 0.1, tree.Params{MaxDepth: 2}, 1)
-	for _, m := range []ml.Snapshotter{dt, gb} {
+	for _, m := range []ml.Snapshotter{
+		tree.New(tree.Params{MaxDepth: 3, Splitter: tree.SplitterExact}, nil),
+		ensemble.NewGradientBoosting(5, 0.1, tree.Params{MaxDepth: 2}, 1),
+		ensemble.NewRandomForest(3, tree.Params{MaxDepth: 2}, 1),
+		ensemble.NewAdaBoost(3, tree.Params{MaxDepth: 2}, 1),
+	} {
 		if err := m.Fit(x, y); err != nil {
 			f.Fatal(err)
 		}
@@ -32,20 +47,17 @@ func FuzzDecodeModel(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(m.SnapshotKind() == ensemble.GradientBoostingSnapshotKind, state)
+		f.Add(uint8(slices.Index(fuzzKinds, m.SnapshotKind())), state)
 	}
 
-	f.Fuzz(func(t *testing.T, isGB bool, state []byte) {
-		kind := tree.TreeSnapshotKind
-		if isGB {
-			kind = ensemble.GradientBoostingSnapshotKind
-		}
+	f.Fuzz(func(t *testing.T, which uint8, state []byte) {
+		kind := fuzzKinds[int(which)%len(fuzzKinds)]
 		m, err := ml.DecodeModel(ml.ModelState{Kind: kind, State: state})
 		if err != nil {
 			return
 		}
 
-		dim := declaredDim(t, isGB, state)
+		dim := declaredDim(kind, state)
 		rows := [][]float64{make([]float64, dim), make([]float64, dim), make([]float64, dim)}
 		for j := 0; j < dim; j++ {
 			rows[1][j] = math.MaxFloat64
@@ -69,32 +81,20 @@ func FuzzDecodeModel(f *testing.F) {
 			t.Fatalf("re-encoding twice: %v", err)
 		}
 		if once.Kind != twice.Kind || !bytes.Equal(once.State, twice.State) {
-			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", once.State, twice.State)
+			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", once.State, twice.State)
 		}
 	})
 }
 
 // declaredDim reads the feature width a decoded state declares: the tree's
-// dim, or for GB its first member's (decoding checked the members agree).
-func declaredDim(t *testing.T, isGB bool, state []byte) int {
-	var err error
-	if isGB {
-		var st struct {
-			Trees []struct {
-				Dim int `json:"dim"`
-			} `json:"trees"`
-		}
-		if err = json.Unmarshal(state, &st); err == nil {
-			return st.Trees[0].Dim
-		}
-	} else {
-		var st struct {
-			Dim int `json:"dim"`
-		}
-		if err = json.Unmarshal(state, &st); err == nil {
-			return st.Dim
-		}
+// dim, or for an ensemble its first member's (decoding checked the members
+// agree). An ensemble state opens with its uvarint-prefixed JSON header; a
+// tree block opens with seven 8-byte params words, then its dim as an
+// int64.
+func declaredDim(kind string, state []byte) int {
+	if kind != tree.TreeSnapshotKind {
+		n, k := binary.Uvarint(state)
+		state = state[k+int(n):]
 	}
-	t.Fatalf("state decoded as a model but its width does not: %v", err)
-	return 0
+	return int(int64(binary.LittleEndian.Uint64(state[7*8:])))
 }

@@ -1,27 +1,31 @@
-// Model snapshots: a fitted model's state round-trips through JSON so
-// training and query time can be split across processes (train once, serve
-// many). Every model family in the library implements Snapshotter and
-// registers a kind string; a ModelState pairs that kind with the state
+// Model snapshots: a fitted model's state round-trips through opaque bytes
+// so training and query time can be split across processes (train once,
+// serve many). Every model family in the library implements Snapshotter
+// and registers a kind string; a ModelState pairs that kind with the state
 // bytes so DecodeModel can rebuild the right concrete type. ModelState is
-// not a file format: guide's fleet bundle embeds one per machine under the
-// bundle's single versioned, checksummed envelope.
+// not a file format: guide's fleet bundle stores one per machine,
+// length-delimited, under the bundle's single versioned, checksummed
+// header.
 //
-// JSON is the state encoding throughout: Go marshals float64 values with
-// the shortest representation that parses back to the identical bits, so a
-// restored model's predictions are bit-identical to the fitted model's.
+// Each family picks its own state encoding, and every one keeps float64
+// bits exact, so a restored model's predictions are bit-identical to the
+// fitted model's. The kernel, linear, KNN and stacking families write JSON
+// (Go marshals a float64 with the shortest representation that parses back
+// to the identical bits). Trees and the tree ensembles write their node
+// arrays as little-endian binary blocks (see tree.AppendState), which load
+// without a text parse.
 
 package ml
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
 
 // Snapshotter is a Regressor whose fitted state can be captured into a
 // byte slice and restored later, in another process, with bit-identical
-// predictions. State bytes must be valid JSON (a ModelState embeds them
-// verbatim).
+// predictions. State bytes are opaque to everything but the family's own
+// RestoreState.
 type Snapshotter interface {
 	Regressor
 	// SnapshotKind returns the stable artifact kind identifier this model
@@ -39,10 +43,11 @@ type Snapshotter interface {
 // ModelState is a fitted model as an artifact stores it: the kind its
 // family registered under and its SnapshotState bytes. It carries no
 // envelope of its own; the file holding it (a guide fleet bundle) has the
-// one format tag, version and checksum.
+// one format tag, version and checksum. The JSON tags serve stacking, which
+// nests its bases' ModelStates in its own JSON state (State as base64).
 type ModelState struct {
-	Kind  string          `json:"kind"`
-	State json.RawMessage `json:"state"`
+	Kind  string `json:"kind"`
+	State []byte `json:"state"`
 }
 
 // snapRegistry maps artifact kinds to zero-value model constructors. It is

@@ -1,10 +1,10 @@
 package ml_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"parcost/internal/ml"
@@ -191,12 +191,12 @@ func TestDecodeModelRejectsCorruptArtifacts(t *testing.T) {
 		// Tree states whose splits would index past a served row of the
 		// declared width. The controls below show the same shapes decode
 		// when the widths are consistent.
-		"tree with dim 0 splitting on feature 7": {Kind: tree.TreeSnapshotKind, State: json.RawMessage(treeStateJSON(0))},
-		"gb members disagreeing on dim":          {Kind: ensemble.GradientBoostingSnapshotKind, State: json.RawMessage(gbStateJSON(8, 9))},
+		"tree with dim 0 splitting on feature 7": {Kind: tree.TreeSnapshotKind, State: treeBlock(t, treeState(0))},
+		"gb members disagreeing on dim":          {Kind: ensemble.GradientBoostingSnapshotKind, State: gbState(t, 8, 9)},
 	}
 	for name, ms := range map[string]ml.ModelState{
-		"tree": {Kind: tree.TreeSnapshotKind, State: json.RawMessage(treeStateJSON(8))},
-		"gb":   {Kind: ensemble.GradientBoostingSnapshotKind, State: json.RawMessage(gbStateJSON(8, 8))},
+		"tree": {Kind: tree.TreeSnapshotKind, State: treeBlock(t, treeState(8))},
+		"gb":   {Kind: ensemble.GradientBoostingSnapshotKind, State: gbState(t, 8, 8)},
 	} {
 		m, err := ml.DecodeModel(ms)
 		if err != nil {
@@ -211,18 +211,101 @@ func TestDecodeModelRejectsCorruptArtifacts(t *testing.T) {
 	}
 }
 
-// treeStateJSON is a three-node tree state of the given width whose root
-// splits on feature 7.
-func treeStateJSON(dim int) string {
-	gains := strings.TrimSuffix(strings.Repeat("0,", dim), ",")
-	return fmt.Sprintf(`{"dim":%d,"depth":1,"gains":[%s],"leaf":[false,true,true],"value":[0,1,2],`+
-		`"feature":[7,0,0],"threshold":[0.5,0,0],"left":[1,-1,-1],"right":[2,-1,-1],"samples":[2,1,1]}`, dim, gains)
+// TestDecodeTreeStatesRejected: tree and tree-ensemble states that a fit
+// could not have written are refused, whichever kind carries them — a
+// non-finite float or a negative sample count in a member, a block cut
+// short or claiming more nodes than the state holds, bytes after the last
+// block, an ensemble without members, and AdaBoost vote weights that do
+// not match its members. The controls show the same shapes decode intact.
+func TestDecodeTreeStatesRejected(t *testing.T) {
+	gbHeader := `{"num_trees":2,"learning_rate":0.1,"init":1}`
+	abHeader := `{"num_trees":2,"betas":[1,1]}`
+	for name, ms := range map[string]ml.ModelState{
+		"tree": {Kind: tree.TreeSnapshotKind, State: treeBlock(t, treeState(8))},
+		"gb":   {Kind: ensemble.GradientBoostingSnapshotKind, State: ensembleState(t, gbHeader, treeState(8), treeState(8))},
+		"rf":   {Kind: ensemble.RandomForestSnapshotKind, State: ensembleState(t, `{"num_trees":2}`, treeState(8), treeState(8))},
+		"ab":   {Kind: ensemble.AdaBoostSnapshotKind, State: ensembleState(t, abHeader, treeState(8), treeState(8))},
+	} {
+		if _, err := ml.DecodeModel(ms); err != nil {
+			t.Fatalf("control %s state failed to decode: %v", name, err)
+		}
+	}
+
+	// patched encodes a valid tree state, then overwrites the 8 bytes of
+	// its first threshold (0.5, which occurs nowhere else in the block).
+	patched := func(bits uint64) []byte {
+		b := treeBlock(t, treeState(8))
+		at := bytes.Index(b, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5)))
+		binary.LittleEndian.PutUint64(b[at:], bits)
+		return b
+	}
+	negSamples := treeState(8)
+	negSamples.Samples[2] = -1
+	whole := treeBlock(t, treeState(8))
+	gb := ensembleState(t, gbHeader, treeState(8), treeState(8))
+	for name, ms := range map[string]ml.ModelState{
+		"NaN threshold":            {Kind: tree.TreeSnapshotKind, State: patched(math.Float64bits(math.NaN()))},
+		"+Inf threshold":           {Kind: tree.TreeSnapshotKind, State: patched(math.Float64bits(math.Inf(1)))},
+		"negative samples":         {Kind: tree.TreeSnapshotKind, State: treeBlock(t, negSamples)},
+		"truncated tree block":     {Kind: tree.TreeSnapshotKind, State: whole[:len(whole)-1]},
+		"bytes after tree block":   {Kind: tree.TreeSnapshotKind, State: append(treeBlock(t, treeState(8)), 0)},
+		"gb truncated member":      {Kind: ensemble.GradientBoostingSnapshotKind, State: gb[:len(gb)-10]},
+		"gb NaN member threshold":  {Kind: ensemble.GradientBoostingSnapshotKind, State: append(ensembleState(t, gbHeader, treeState(8)), patched(math.Float64bits(math.NaN()))...)},
+		"gb header overruns state": {Kind: ensemble.GradientBoostingSnapshotKind, State: binary.AppendUvarint(nil, 1<<40)},
+		"gb without members":       {Kind: ensemble.GradientBoostingSnapshotKind, State: ensembleState(t, gbHeader)},
+		"rf without members":       {Kind: ensemble.RandomForestSnapshotKind, State: ensembleState(t, `{"num_trees":2}`)},
+		"rf members disagree":      {Kind: ensemble.RandomForestSnapshotKind, State: ensembleState(t, `{"num_trees":2}`, treeState(8), treeState(9))},
+		"ab fewer betas":           {Kind: ensemble.AdaBoostSnapshotKind, State: ensembleState(t, `{"num_trees":2,"betas":[1]}`, treeState(8), treeState(8))},
+		"ab zero-node member":      {Kind: ensemble.AdaBoostSnapshotKind, State: ensembleState(t, abHeader, treeState(8), tree.State{})},
+	} {
+		if _, err := ml.DecodeModel(ms); err == nil {
+			t.Errorf("%s: decoded, want an error", name)
+		}
+	}
 }
 
-// gbStateJSON is a two-member boosting state with the given member widths.
-func gbStateJSON(dimA, dimB int) string {
-	return fmt.Sprintf(`{"num_trees":2,"learning_rate":0.1,"init":1,"trees":[%s,%s]}`,
-		treeStateJSON(dimA), treeStateJSON(dimB))
+// treeState is a three-node tree state of the given width whose root
+// splits on feature 7.
+func treeState(dim int) tree.State {
+	st := tree.State{Dim: dim, Depth: 1, Gains: make([]float64, dim)}
+	st.Leaf = []bool{false, true, true}
+	st.Value = []float64{0, 1, 2}
+	st.Feature = []int{7, 0, 0}
+	st.Threshold = []float64{0.5, 0, 0}
+	st.Left = []int{1, -1, -1}
+	st.Right = []int{2, -1, -1}
+	st.Samples = []int{2, 1, 1}
+	return st
+}
+
+// treeBlock encodes st as a tree.cart state: one tree block.
+func treeBlock(t testing.TB, st tree.State) []byte {
+	t.Helper()
+	return ensembleState(t, "", st)
+}
+
+// ensembleState lays out a tree-ensemble state: the JSON header, prefixed
+// by its length as a uvarint, then one tree block per member. An empty
+// header writes the member blocks alone, which is a tree.cart state.
+func ensembleState(t testing.TB, header string, members ...tree.State) []byte {
+	t.Helper()
+	var b []byte
+	if header != "" {
+		b = append(binary.AppendUvarint(nil, uint64(len(header))), header...)
+	}
+	for i := range members {
+		var err error
+		if b, err = tree.AppendState(b, &members[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// gbState is a two-member boosting state with the given member widths.
+func gbState(t testing.TB, dimA, dimB int) []byte {
+	t.Helper()
+	return ensembleState(t, `{"num_trees":2,"learning_rate":0.1,"init":1}`, treeState(dimA), treeState(dimB))
 }
 
 // TestDecodeModelRejectsMismatchedState: a well-formed JSON state that

@@ -90,7 +90,8 @@ func TestAddGridMatchesPredict(t *testing.T) {
 }
 
 // TestAddGridOneLeafAndNaNThreshold covers a tree that is a single leaf and
-// a split whose threshold is NaN, which sends every row right.
+// a split whose threshold is NaN, which sends every row right. FromState
+// refuses a NaN threshold, so that tree is built from its arrays directly.
 func TestAddGridOneLeafAndNaNThreshold(t *testing.T) {
 	leaf := New(DefaultParams(), nil)
 	if err := leaf.Fit([][]float64{{1, 2}, {3, 4}, {5, 6}}, []float64{9, 9, 9}); err != nil {
@@ -114,10 +115,10 @@ func TestAddGridOneLeafAndNaNThreshold(t *testing.T) {
 			Samples:   []int{3, 1, 2, 1, 1},
 		},
 	}
-	nan, err := FromState(&st)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := FromState(&st); err == nil {
+		t.Fatal("FromState accepted a NaN threshold")
 	}
+	nan := &Tree{nodes: st.nodeArrays, dim: st.Dim, gains: st.Gains}
 	requireGridMatchesRows(t, "NaN threshold", nan, []float64{0, 0}, 0, []float64{-1, 0, 1}, 1, []float64{1, 2.5, 4})
 }
 
