@@ -33,6 +33,9 @@
 //     keyed by (problem, objective) with coalesced concurrent misses, an
 //     entry-count bound, an approximate-byte bound, and an optional
 //     per-entry TTL so models retrained in place age out stale sweeps.
+//     Behind that cache, a shard whose model lists its split thresholds
+//     (gradient boosting) shares one predicted grid among every problem in
+//     the same cell of the threshold lattice (see gridMemo).
 //   - Router registers one Service shard per machine behind a single
 //     Recommend(machine, problem, objective) API. All shards share one
 //     sweep semaphore, so the fleet's total CPU-bound grid sweeps stay
@@ -171,11 +174,25 @@ const (
 // it and one that loaded its artifact — therefore return identical
 // recommendations.
 func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Recommendation, error) {
-	if err := checkGrid(a.Grid); err != nil {
-		return Recommendation{}, fmt.Errorf("guide: %w", err)
+	cfgs, err := a.configs(p)
+	if err != nil {
+		return Recommendation{}, err
 	}
-	cfgs := a.Grid.Configs(p)
-	preds := a.predictGrid(p, cfgs)
+	return choose(p, obj, cfgs, a.predictGrid(p, cfgs), oracle)
+}
+
+// configs checks a.Grid and enumerates it for p.
+func (a *Advisor) configs(p dataset.Problem) ([]dataset.Config, error) {
+	if err := checkGrid(a.Grid); err != nil {
+		return nil, fmt.Errorf("guide: %w", err)
+	}
+	return a.Grid.Configs(p), nil
+}
+
+// choose is Recommend's walk over a predicted grid: preds[i] is the
+// predicted seconds of cfgs[i]. It only reads preds, so one predicted grid
+// may serve several queries at once.
+func choose(p dataset.Problem, obj Objective, cfgs []dataset.Config, preds []float64, oracle Oracle) (Recommendation, error) {
 	vals := make([]float64, len(cfgs))
 	order := make([]int, 0, len(cfgs))
 	for i, c := range cfgs {

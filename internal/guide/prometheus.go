@@ -93,6 +93,8 @@ func writeShards(w io.Writer, shards map[string]Stats) {
 	counter("parcost_sweep_shed_brownout_total", "Misses refused while brownout mode was active.", func(s Stats) uint64 { return s.ShedBrownout })
 	counter("parcost_sweep_canceled_queued_total", "Queued callers that disconnected before their sweep started.", func(s Stats) uint64 { return s.CanceledQueued })
 	counter("parcost_stale_served_total", "Brownout-mode degraded answers served from expired entries.", func(s Stats) uint64 { return s.StaleServed })
+	counter("parcost_grid_memo_hits_total", "Sweeps that reused the predicted grid of a problem in the same threshold-lattice cell.", func(s Stats) uint64 { return s.MemoHits })
+	counter("parcost_grid_memo_misses_total", "Sweeps that predicted their grid and stored it in the grid memo.", func(s Stats) uint64 { return s.MemoMisses })
 
 	// Per-sweep wall time. The zero-sweep contract holds on the wire too: a
 	// shard that has never swept emits no series here rather than a

@@ -21,7 +21,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 	var buf bytes.Buffer
 	WritePrometheus(&buf, m.Snapshot(), map[string]Stats{
 		"frontier": {Hits: 2, Misses: 3, Size: 3, Bytes: 3 * entryBytes, SweepCount: 3,
-			SweepMin: time.Millisecond, SweepMean: 2 * time.Millisecond, SweepMax: 3 * time.Millisecond},
+			SweepMin: time.Millisecond, SweepMean: 2 * time.Millisecond, SweepMax: 3 * time.Millisecond,
+			MemoHits: 1, MemoMisses: 2},
 		"aurora": {Misses: 1, Size: 1, Bytes: entryBytes}, // zero sweeps: no duration series
 	})
 	out := buf.String()
@@ -37,6 +38,12 @@ func TestWritePrometheusFormat(t *testing.T) {
 		`parcost_sweep_cache_misses_total{machine="frontier"} 3`,
 		fmt.Sprintf(`parcost_sweep_cache_bytes{machine="aurora"} %d`, entryBytes),
 		`parcost_grid_sweeps_total{machine="frontier"} 3`,
+		"# TYPE parcost_grid_memo_hits_total counter",
+		`parcost_grid_memo_hits_total{machine="aurora"} 0`,
+		`parcost_grid_memo_hits_total{machine="frontier"} 1`,
+		"# TYPE parcost_grid_memo_misses_total counter",
+		`parcost_grid_memo_misses_total{machine="aurora"} 0`,
+		`parcost_grid_memo_misses_total{machine="frontier"} 2`,
 		`parcost_sweep_duration_seconds{machine="frontier",stat="min"} 0.001`,
 		`parcost_sweep_duration_seconds{machine="frontier",stat="mean"} 0.002`,
 		`parcost_sweep_duration_seconds{machine="frontier",stat="max"} 0.003`,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"parcost/internal/ccsd"
@@ -62,17 +63,17 @@ func eagerRecommend(a *Advisor, p dataset.Problem, obj Objective, oracle Oracle)
 // rows with Predict.
 type rowsOnly struct{ ml.Regressor }
 
-// sameAnswer fails t unless two Recommend results agree on the
-// configuration, the PredTime and PredValue bits, and the error.
+// sameAnswer fails t unless a Recommend result agrees with its reference
+// on the configuration, the PredTime and PredValue bits, and the error.
 func sameAnswer(t *testing.T, what string, got Recommendation, gerr error, want Recommendation, werr error) {
 	t.Helper()
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-		t.Fatalf("%s: error %v, eager sweep %v", what, gerr, werr)
+		t.Fatalf("%s: error %v, reference %v", what, gerr, werr)
 	}
 	if got.Problem != want.Problem || got.Objective != want.Objective || got.Config != want.Config ||
 		math.Float64bits(got.PredTime) != math.Float64bits(want.PredTime) ||
 		math.Float64bits(got.PredValue) != math.Float64bits(want.PredValue) {
-		t.Fatalf("%s: %+v, eager sweep %+v", what, got, want)
+		t.Fatalf("%s: %+v, reference %+v", what, got, want)
 	}
 }
 
@@ -241,14 +242,8 @@ func TestRecommendGridTiesAndNaN(t *testing.T) {
 // "rows" the same grid through Predict over its 495 rows, as Recommend
 // does for a model without PredictGrid. One op is all 46 queries.
 func BenchmarkAdvisor_Recommend(b *testing.B) {
-	spec := machine.Aurora()
-	d := ccsd.Generate(spec, ccsd.GenConfig{TargetSize: 2300, Noise: true, Seed: 1})
-	gb := ensemble.NewGradientBoostingPaper(1)
-	adv, err := NewAdvisor(gb, d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	oracle := NewSimOracle(spec)
+	adv, oracle := paperAdvisor(b)
+	gb := adv.Model
 	problems := dataset.PaperProblems()
 	for _, bc := range []struct {
 		name string
@@ -270,4 +265,27 @@ func BenchmarkAdvisor_Recommend(b *testing.B) {
 			}
 		})
 	}
+}
+
+var paperFit struct {
+	once   sync.Once
+	adv    *Advisor
+	oracle *SimOracle
+	err    error
+}
+
+// paperAdvisor returns the paper GB (750 trees, depth 10) fitted on a
+// 2300-row simulated Aurora dataset, as `parcost train` fits it, and the
+// Aurora SimOracle. The fit runs once per test binary.
+func paperAdvisor(b *testing.B) (*Advisor, *SimOracle) {
+	paperFit.once.Do(func() {
+		spec := machine.Aurora()
+		d := ccsd.Generate(spec, ccsd.GenConfig{TargetSize: 2300, Noise: true, Seed: 1})
+		paperFit.adv, paperFit.err = NewAdvisor(ensemble.NewGradientBoostingPaper(1), d)
+		paperFit.oracle = NewSimOracle(spec)
+	})
+	if paperFit.err != nil {
+		b.Fatal(paperFit.err)
+	}
+	return paperFit.adv, paperFit.oracle
 }

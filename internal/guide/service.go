@@ -37,6 +37,7 @@ type Service struct {
 	adv   *Advisor
 	cfg   serviceConfig
 	cache *sweepCache
+	memo  *gridMemo // nil when the model cannot list its split thresholds
 }
 
 // serviceConfig is a shard's construction settings. AddShard decides it
@@ -118,7 +119,7 @@ func newService(adv *Advisor, adm *admission.Controller, cfg serviceConfig) (*Se
 	if adv == nil || adv.Model == nil {
 		return nil, fmt.Errorf("guide: a shard requires a fitted advisor")
 	}
-	s := &Service{adv: adv, cfg: cfg, cache: newSweepCache(cfg.maxEntries, cfg.maxBytes, cfg.ttl, adm)}
+	s := &Service{adv: adv, cfg: cfg, cache: newSweepCache(cfg.maxEntries, cfg.maxBytes, cfg.ttl, adm), memo: newGridMemo(adv.Model)}
 	if cfg.clock != nil {
 		s.cache.now = cfg.clock
 	}
@@ -145,8 +146,23 @@ func (s *Service) Recommend(p dataset.Problem, obj Objective) (Recommendation, e
 func (s *Service) RecommendCtx(ctx context.Context, p dataset.Problem, obj Objective) (rec Recommendation, stale bool, err error) {
 	q := Query{Problem: p, Objective: obj}
 	return s.cache.do(ctx, q, func() (Recommendation, error) {
-		return s.adv.Recommend(p, obj, s.cfg.oracle)
+		return s.sweep(p, obj)
 	})
+}
+
+// sweep answers a query as s.adv.Recommend does, bit for bit, but takes
+// the predicted grid from the shard's grid memo when it has one. It runs in
+// the admission slot on a memo hit too.
+func (s *Service) sweep(p dataset.Problem, obj Objective) (Recommendation, error) {
+	if s.memo == nil {
+		return s.adv.Recommend(p, obj, s.cfg.oracle)
+	}
+	cfgs, err := s.adv.configs(p)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	preds := s.memo.predict(p, func() []float64 { return s.adv.predictGrid(p, cfgs) })
+	return choose(p, obj, cfgs, preds, s.cfg.oracle)
 }
 
 // PredictTime predicts the iteration seconds of one configuration.
@@ -185,6 +201,12 @@ type Stats struct {
 	SweepMin   time.Duration
 	SweepMean  time.Duration
 	SweepMax   time.Duration
+
+	// Grid-memo lookups, one per sweep that reached the model: a hit reused
+	// the predicted grid of a problem in the same threshold-lattice cell, a
+	// miss predicted it. Both stay zero for a model without a memo.
+	MemoHits   uint64
+	MemoMisses uint64
 }
 
 // merge folds another snapshot into this one for fleet-level aggregation.
@@ -201,6 +223,8 @@ func (a Stats) merge(b Stats) Stats {
 		CanceledQueued: a.CanceledQueued + b.CanceledQueued,
 		StaleServed:    a.StaleServed + b.StaleServed,
 		SweepCount:     a.SweepCount + b.SweepCount,
+		MemoHits:       a.MemoHits + b.MemoHits,
+		MemoMisses:     a.MemoMisses + b.MemoMisses,
 	}
 	switch {
 	case a.SweepCount == 0:
@@ -219,7 +243,10 @@ func (a Stats) merge(b Stats) Stats {
 }
 
 // CacheStats reports cache hits, misses, TTL expiries, shed and stale-serve
-// counts, resident entries and bytes, and per-sweep wall-time min/mean/max.
+// counts, resident entries and bytes, per-sweep wall-time min/mean/max, and
+// grid-memo hits and misses.
 func (s *Service) CacheStats() Stats {
-	return s.cache.stats()
+	st := s.cache.stats()
+	st.MemoHits, st.MemoMisses = s.memo.counts()
+	return st
 }

@@ -10,6 +10,7 @@ package ensemble
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"parcost/internal/mat"
@@ -535,26 +536,32 @@ func strictlyIncreasing(xs []float64) bool {
 	return true
 }
 
-// StagedPredict returns the ensemble prediction after each boosting stage,
-// useful for diagnosing the optimal tree count. The result is a slice of
-// length NumTrees; entry m is the prediction using the first m+1 trees.
-func (g *GradientBoosting) StagedPredict(x [][]float64) [][]float64 {
-	if g.trees == nil {
-		panic("ensemble: GradientBoosting.StagedPredict before Fit")
-	}
-	out := make([][]float64, len(g.trees))
-	acc := make([]float64, len(x))
-	for i := range acc {
-		acc[i] = g.init
-	}
-	step := make([]float64, len(x))
-	for m, tr := range g.trees {
-		tr.PredictInto(x, step)
-		for i := range acc {
-			acc[i] += g.LearningRate * step[i]
+// SplitThresholds returns the sorted, distinct thresholds of every split on
+// feature across the boosting stages. A prediction sees the feature only
+// through them: two rows that differ only in feature, with the same number
+// of listed thresholds below each value, reach the same leaf in every tree
+// and get the same prediction bit for bit. A NaN threshold sends every row
+// right, so it splits nothing and is left out.
+func (g *GradientBoosting) SplitThresholds(feature int) []float64 {
+	// The paper GB splits a feature ~10⁵ times on under 200 distinct
+	// thresholds, so a set keeps the sort small. It is keyed by bits, the
+	// map's fast path, with -0 stored as +0, which compares equal to it.
+	seen := map[uint64]struct{}{}
+	var out, buf []float64
+	for _, tr := range g.trees {
+		buf = tr.AppendThresholds(buf[:0], feature)
+		for _, th := range buf {
+			if th == 0 {
+				th = 0
+			}
+			k := math.Float64bits(th)
+			if _, dup := seen[k]; !dup && !math.IsNaN(th) {
+				seen[k] = struct{}{}
+				out = append(out, th)
+			}
 		}
-		out[m] = append([]float64(nil), acc...)
 	}
+	slices.Sort(out)
 	return out
 }
 

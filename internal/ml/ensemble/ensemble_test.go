@@ -2,6 +2,7 @@ package ensemble
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -114,12 +115,17 @@ func TestGradientBoostingReducesResidual(t *testing.T) {
 	r := rng.New(6)
 	x, y := nonlinearData(r, 300, 0.05)
 	gb := NewGradientBoosting(100, 0.1, tree.Params{MaxDepth: 3}, 1)
-	if err := gb.Fit(x, y); err != nil {
+	var first, last float64
+	err := gb.FitStaged(x, y, x, []int{1, 100}, func(stage int, pred []float64) {
+		if stage == 0 {
+			first = stats.R2(y, pred)
+		} else {
+			last = stats.R2(y, pred)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	staged := gb.StagedPredict(x)
-	first := stats.R2(y, staged[0])
-	last := stats.R2(y, staged[len(staged)-1])
 	if last <= first {
 		t.Fatalf("staged R2 did not improve: %v -> %v", first, last)
 	}
@@ -267,20 +273,27 @@ func TestQuickRFWithinMemberRange(t *testing.T) {
 	}
 }
 
-// Property: GB staged prediction's final stage equals Predict.
+// Property: GB staged prediction's final stage equals Predict of the same
+// fit bit for bit.
 func TestQuickGBStagedMatchesPredict(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		x, y := nonlinearData(r, 100, 0.1)
+		var final []float64
+		staged := NewGradientBoosting(30, 0.1, tree.Params{MaxDepth: 3}, seed)
+		err := staged.FitStaged(x, y, x, []int{30}, func(_ int, pred []float64) {
+			final = slices.Clone(pred)
+		})
+		if err != nil {
+			return false
+		}
 		gb := NewGradientBoosting(30, 0.1, tree.Params{MaxDepth: 3}, seed)
 		if err := gb.Fit(x, y); err != nil {
 			return false
 		}
-		staged := gb.StagedPredict(x)
-		final := staged[len(staged)-1]
 		direct := gb.Predict(x)
 		for i := range direct {
-			if math.Abs(final[i]-direct[i]) > 1e-9 {
+			if math.Float64bits(final[i]) != math.Float64bits(direct[i]) {
 				return false
 			}
 		}

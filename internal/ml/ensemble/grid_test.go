@@ -184,3 +184,50 @@ func BenchmarkGBPredictGrid(b *testing.B) {
 		}
 	})
 }
+
+// TestGBSplitThresholdsLattice: SplitThresholds lists every tree's
+// thresholds on a feature once, in increasing order, and two rows that
+// differ only in that feature, with as many listed thresholds below each
+// value, predict the same bits.
+func TestGBSplitThresholdsLattice(t *testing.T) {
+	r := rng.New(9)
+	x, y := nonlinearData(r, 400, 0.1)
+	gb := NewGradientBoosting(40, 0.1, tree.Params{MaxDepth: 5}, 9)
+	if err := gb.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	for f := range 3 {
+		thr := gb.SplitThresholds(f)
+		if len(thr) == 0 || !strictlyIncreasing(thr) {
+			t.Fatalf("feature %d: thresholds %v are not strictly increasing", f, thr)
+		}
+		for _, tr := range gb.trees {
+			for _, th := range tr.AppendThresholds(nil, f) {
+				if _, ok := slices.BinarySearch(thr, th); !ok {
+					t.Fatalf("feature %d: threshold %v of a tree is not listed", f, th)
+				}
+			}
+		}
+		// Each row is moved to the bottom and the top of its own cell (a
+		// threshold itself, or just above the one below) and must not move.
+		for _, row := range x[:50] {
+			k, _ := slices.BinarySearch(thr, row[f])
+			lo := math.Inf(-1)
+			if k > 0 {
+				lo = math.Nextafter(thr[k-1], math.Inf(1))
+			}
+			hi := math.Inf(1)
+			if k < len(thr) {
+				hi = thr[k]
+			}
+			want := gb.Predict([][]float64{row})[0]
+			for _, v := range []float64{lo, hi} {
+				moved := slices.Clone(row)
+				moved[f] = v
+				if got := gb.Predict([][]float64{moved})[0]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("feature %d: %v → %v moved the prediction %v → %v within one cell", f, row[f], v, want, got)
+				}
+			}
+		}
+	}
+}

@@ -54,7 +54,9 @@ func (g *GradientBoosting) FitStaged(x [][]float64, y []float64, eval [][]float6
 		}
 		tr.PredictInto(eval, step)
 		for i := range acc {
-			acc[i] += g.LearningRate * step[i]
+			// Rounded on its own as in Predict, so the last stage equals
+			// Predict bit for bit on platforms that fuse multiply-add.
+			acc[i] += float64(g.LearningRate * step[i])
 		}
 		for si < len(stages) && m+1 == stages[si] {
 			emit(si, acc)

@@ -530,6 +530,30 @@ func (t *Tree) predictRow(row []float64) float64 {
 	return a.Value[i]
 }
 
+// AppendThresholds appends the threshold of every split on feature (an
+// index, ≥ 0) to dst, in node order, and returns the extended slice.
+func (t *Tree) AppendThresholds(dst []float64, feature int) []float64 {
+	a := &t.nodes
+	n := len(a.Leaf)
+	leaf, feat, thr := a.Leaf, a.Feature[:n], a.Threshold[:n]
+	// Every threshold is written and only a split on feature advances k:
+	// whether a node matches is close to a coin flip, so a branch on it
+	// would mispredict about every other node.
+	k := len(dst)
+	dst = slices.Grow(dst, n)[:k+n]
+	for i := range n {
+		dst[k] = thr[i]
+		f := feat[i]
+		if leaf[i] {
+			f = -1
+		}
+		if f == feature {
+			k++
+		}
+	}
+	return dst[:k]
+}
+
 // NodeCount returns the number of nodes in the fitted tree.
 func (t *Tree) NodeCount() int { return len(t.nodes.Leaf) }
 
