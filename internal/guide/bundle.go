@@ -31,12 +31,12 @@ import (
 // store their node arrays as binary tree blocks (tree.AppendState), so a
 // load parses the index as JSON and nothing else of a GB as text. Other
 // formats and versions are refused with a FormatError rather than read:
-// version 1 and 2 bundles and the older parcost-advisor files are each one
-// JSON envelope whose format and version the header reader finds in the
-// same place.
+// versions 1–3 and the older parcost-advisor files. A version 1 or 2 bundle
+// or an advisor file is one JSON envelope whose format and version the
+// header reader finds in the same place.
 const (
 	FleetBundleFormat  = "parcost-fleet"
-	FleetBundleVersion = 3
+	FleetBundleVersion = 4
 )
 
 // bundleHeader is the first line of a fleet bundle.

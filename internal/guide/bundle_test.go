@@ -105,10 +105,11 @@ func mustSpec(t *testing.T, name string) machine.Spec {
 // TestLoadFleetSingleAdvisorArtifact pins that older artifact files are
 // refused, not read: a parcost-advisor file (one advisor, what `parcost
 // train -machine` wrote before fleet bundles became the only format), a
-// version 1 fleet bundle and a version 2 fleet bundle (one JSON envelope,
-// tree node arrays as JSON numbers), each written by that older code. Each
-// fails with a FormatError naming its format and version and pointing at
-// `parcost train`, through LoadFleet and LoadAdvisor alike.
+// version 1 fleet bundle, a version 2 fleet bundle (one JSON envelope,
+// tree node arrays as JSON numbers) and a version 3 fleet bundle (a header
+// line, then seven node arrays per tree block), each written by that older
+// code. Each fails with a FormatError naming its format and version and
+// pointing at `parcost train`, through LoadFleet and LoadAdvisor alike.
 func TestLoadFleetSingleAdvisorArtifact(t *testing.T) {
 	for _, tc := range []struct {
 		file, format string
@@ -117,6 +118,7 @@ func TestLoadFleetSingleAdvisorArtifact(t *testing.T) {
 		{"advisor_v1.json", "parcost-advisor", 1},
 		{"fleet_v1.json", FleetBundleFormat, 1},
 		{"fleet_v2.json", FleetBundleFormat, 2},
+		{"fleet_v3.bundle", FleetBundleFormat, 3},
 	} {
 		path := filepath.Join("testdata", tc.file)
 		_, _, fleetErr := LoadFleet(path)
@@ -291,6 +293,7 @@ func TestBundleRejections(t *testing.T) {
 		"future version": func(p *bundleParts) { p.hdr.Version = FleetBundleVersion + 1 },
 		"v1 version":     func(p *bundleParts) { p.hdr.Version = 1 },
 		"v2 version":     func(p *bundleParts) { p.hdr.Version = 2 },
+		"v3 version":     func(p *bundleParts) { p.hdr.Version = 3 },
 	} {
 		if _, _, err := DecodeFleet(reseal(t, data, mutate)); err == nil {
 			t.Fatalf("%s bundle accepted", name)

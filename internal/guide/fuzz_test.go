@@ -16,8 +16,9 @@ import (
 // the checksum to the index, entry and model-state decoders. Seeds live
 // under testdata/fuzz/FuzzDecodeFleet: a one-entry tiny-GB fleet, the same
 // fleet with its node counts out of order, with a NaN threshold, and cut
-// inside a tree block, and the older artifacts refused by version (a
-// version 2 bundle's payload, a version 1 bundle, a parcost-advisor file).
+// inside a tree block, and the older artifacts refused by version (the
+// tiny-GB fleet's version 3 body, a version 2 bundle's payload, a version 1
+// bundle, a parcost-advisor file).
 func FuzzDecodeFleet(f *testing.F) {
 	f.Fuzz(func(t *testing.T, format string, version int, body []byte) {
 		entries, meta, err := DecodeFleet(sealPayload(format, version, body))

@@ -43,7 +43,7 @@
 //     aggregate CacheStats feed observability; SaveWarmSet/LoadWarmSet
 //     persist the hottest cache keys across restarts and pre-sweep them at
 //     startup.
-//   - Artifacts: the fleet bundle (version 3) is the one file format.
+//   - Artifacts: the fleet bundle (version 4) is the one file format.
 //     SaveBundle writes N named advisors and shared metadata: a one-line
 //     header (format, version, one sha256 over the rest), a JSON index of
 //     each entry's machine, candidate grid and model kind, then each
@@ -51,7 +51,7 @@
 //     their node arrays there as binary tree blocks. LoadFleet reads it
 //     back, handing each state slice to ml.DecodeModel in place, and
 //     LoadAdvisor reads a one-entry fleet. Other formats and versions,
-//     version 1 and 2 bundles included, are refused with a FormatError.
+//     versions 1–3 included, are refused with a FormatError.
 package guide
 
 import (

@@ -73,9 +73,9 @@ func axisThresholds(t *testing.T, g *GradientBoosting, f int) []float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, leaf := range st.Leaf {
-			if !leaf && st.Feature[i] == f {
-				out = append(out, st.Threshold[i])
+		for i, feat := range st.Feature {
+			if int(feat) == f {
+				out = append(out, st.Cut[i])
 			}
 		}
 	}

@@ -30,8 +30,11 @@ var fuzzKinds = []string{
 //     reports feature importances, without panicking;
 //   - re-encoding a decoded model is a fixed point.
 //
-// Seeds are a small fitted tree and one small fitted ensemble of each kind;
-// testdata/fuzz holds the corpus, every crasher found included.
+// Seeds are a small fitted tree and one small fitted ensemble of each kind.
+// testdata/fuzz holds the rest of the corpus, every crasher found included:
+// hand-built states, each refused for the one defect its file name says
+// (tree_* in a tree block, such as a leaf with children or a feature below
+// -1; gb_* and ab_* in an ensemble header or its members).
 func FuzzDecodeModel(f *testing.F) {
 	x, y := synthXY(60, 3)
 	for _, m := range []ml.Snapshotter{

@@ -213,10 +213,10 @@ func TestDecodeModelRejectsCorruptArtifacts(t *testing.T) {
 
 // TestDecodeTreeStatesRejected: tree and tree-ensemble states that a fit
 // could not have written are refused, whichever kind carries them — a
-// non-finite float or a negative sample count in a member, a block cut
-// short or claiming more nodes than the state holds, bytes after the last
-// block, an ensemble without members, and AdaBoost vote weights that do
-// not match its members. The controls show the same shapes decode intact.
+// non-finite float, a feature below -1 or a leaf with children in a
+// member, a block cut short or claiming more nodes than the state holds,
+// bytes after the last block, an ensemble without members, and AdaBoost
+// vote weights that do not match its members. The controls show the same shapes decode intact.
 func TestDecodeTreeStatesRejected(t *testing.T) {
 	gbHeader := `{"num_trees":2,"learning_rate":0.1,"init":1}`
 	abHeader := `{"num_trees":2,"betas":[1,1]}`
@@ -239,14 +239,17 @@ func TestDecodeTreeStatesRejected(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[at:], bits)
 		return b
 	}
-	negSamples := treeState(8)
-	negSamples.Samples[2] = -1
+	strayChild := treeState(8)
+	strayChild.Left[2] = 1
+	lowFeature := treeState(8)
+	lowFeature.Feature[0] = -2
 	whole := treeBlock(t, treeState(8))
 	gb := ensembleState(t, gbHeader, treeState(8), treeState(8))
 	for name, ms := range map[string]ml.ModelState{
 		"NaN threshold":            {Kind: tree.TreeSnapshotKind, State: patched(math.Float64bits(math.NaN()))},
 		"+Inf threshold":           {Kind: tree.TreeSnapshotKind, State: patched(math.Float64bits(math.Inf(1)))},
-		"negative samples":         {Kind: tree.TreeSnapshotKind, State: treeBlock(t, negSamples)},
+		"leaf with a child":        {Kind: tree.TreeSnapshotKind, State: treeBlock(t, strayChild)},
+		"feature -2":               {Kind: tree.TreeSnapshotKind, State: treeBlock(t, lowFeature)},
 		"truncated tree block":     {Kind: tree.TreeSnapshotKind, State: whole[:len(whole)-1]},
 		"bytes after tree block":   {Kind: tree.TreeSnapshotKind, State: append(treeBlock(t, treeState(8)), 0)},
 		"gb truncated member":      {Kind: ensemble.GradientBoostingSnapshotKind, State: gb[:len(gb)-10]},
@@ -268,13 +271,10 @@ func TestDecodeTreeStatesRejected(t *testing.T) {
 // splits on feature 7.
 func treeState(dim int) tree.State {
 	st := tree.State{Dim: dim, Depth: 1, Gains: make([]float64, dim)}
-	st.Leaf = []bool{false, true, true}
-	st.Value = []float64{0, 1, 2}
-	st.Feature = []int{7, 0, 0}
-	st.Threshold = []float64{0.5, 0, 0}
-	st.Left = []int{1, -1, -1}
-	st.Right = []int{2, -1, -1}
-	st.Samples = []int{2, 1, 1}
+	st.Feature = []int32{7, -1, -1}
+	st.Cut = []float64{0.5, 1, 2}
+	st.Left = []int32{1, -1, -1}
+	st.Right = []int32{2, -1, -1}
 	return st
 }
 

@@ -8,7 +8,8 @@ package tree
 
 // gridBox is a pending subtree walk: node covers cells [a0,a1) × [b0,b1).
 type gridBox struct {
-	node, a0, a1, b0, b1 int
+	node           int32
+	a0, a1, b0, b1 int
 }
 
 // GridScratch is reusable walk state for AddGrid. It holds the explicit
@@ -32,25 +33,26 @@ type GridScratch struct {
 // scaled value to every cell of its box.
 func (t *Tree) AddGrid(dst, base []float64, fa int, as []float64, fb int, bs []float64, scale float64, s *GridScratch) {
 	a := &t.nodes
-	leaf := a.Leaf
-	n := len(leaf)
+	feat := a.Feature
+	n := len(feat)
 	if n == 0 {
 		panic("tree: Predict before Fit")
 	}
 	if len(as) == 0 || len(bs) == 0 {
 		return
 	}
-	feat, thr, left, right, value := a.Feature[:n], a.Threshold[:n], a.Left[:n], a.Right[:n], a.Value[:n]
+	cut, left, right := a.Cut[:n], a.Left[:n], a.Right[:n]
+	fa32, fb32 := int32(fa), int32(fb)
 	nb := len(bs)
 	stack := append(s.stack[:0], gridBox{node: 0, a0: 0, a1: len(as), b0: 0, b1: nb})
 	for len(stack) > 0 {
 		bx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		i := bx.node
-		for !leaf[i] {
-			f, th := feat[i], thr[i]
+		for f := feat[i]; f >= 0; f = feat[i] {
+			th := cut[i]
 			switch f {
-			case fa:
+			case fa32:
 				k := upperBound(as, bx.a0, bx.a1, th)
 				switch k {
 				case bx.a0:
@@ -62,7 +64,7 @@ func (t *Tree) AddGrid(dst, base []float64, fa int, as []float64, fb int, bs []f
 					bx.a1 = k
 					i = left[i]
 				}
-			case fb:
+			case fb32:
 				k := upperBound(bs, bx.b0, bx.b1, th)
 				switch k {
 				case bx.b0:
@@ -84,7 +86,7 @@ func (t *Tree) AddGrid(dst, base []float64, fa int, as []float64, fb int, bs []f
 		}
 		// The explicit conversion rounds the product on its own, as the
 		// row-wise ensemble sum does, so no platform fuses it into the add.
-		d := float64(scale * value[i])
+		d := float64(scale * cut[i])
 		for r := bx.a0; r < bx.a1; r++ {
 			cells := dst[r*nb+bx.b0 : r*nb+bx.b1]
 			for c := range cells {

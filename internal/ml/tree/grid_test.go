@@ -44,9 +44,9 @@ func requireGridMatchesRows(t *testing.T, name string, tr *Tree, base []float64,
 // feature f on.
 func splitThresholds(tr *Tree, f int) []float64 {
 	var out []float64
-	for i, leaf := range tr.nodes.Leaf {
-		if !leaf && tr.nodes.Feature[i] == f {
-			out = append(out, tr.nodes.Threshold[i])
+	for i, feat := range tr.nodes.Feature {
+		if int(feat) == f {
+			out = append(out, tr.nodes.Cut[i])
 		}
 	}
 	slices.Sort(out)
@@ -106,13 +106,10 @@ func TestAddGridOneLeafAndNaNThreshold(t *testing.T) {
 		Dim:   2,
 		Gains: []float64{0, 0},
 		nodeArrays: nodeArrays{
-			Leaf:      []bool{false, true, false, true, true},
-			Value:     []float64{0, 1, 0, 2, 3},
-			Feature:   []int{0, 0, 1, 0, 0},
-			Threshold: []float64{math.NaN(), 0, 2.5, 0, 0},
-			Left:      []int{1, -1, 3, -1, -1},
-			Right:     []int{2, -1, 4, -1, -1},
-			Samples:   []int{3, 1, 2, 1, 1},
+			Feature: []int32{0, -1, 1, -1, -1},
+			Cut:     []float64{math.NaN(), 1, 2.5, 2, 3},
+			Left:    []int32{1, -1, 3, -1, -1},
+			Right:   []int32{2, -1, 4, -1, -1},
 		},
 	}
 	if _, err := FromState(&st); err == nil {

@@ -507,7 +507,7 @@ func (hb *histBuilder) build(rows []int, hist *histBuf, sums histSums, depth int
 	if sums.w > 0 {
 		value = sums.wy / sums.w
 	}
-	id := t.nodes.add(value, len(rows))
+	id := t.nodes.add(value)
 
 	// Stopping conditions — identical to the exact engine's, so both produce
 	// the same pre-pruning behavior.

@@ -17,11 +17,12 @@ func init() {
 }
 
 // State is a fitted tree's artifact form. Its node arrays are the tree's
-// in-memory form too: entry 0 is the root, Left/Right hold child indices
-// (-1 for leaves), and every child comes after its parent. Exact-engine
-// trees lay their nodes out in left-first preorder, histogram-engine trees
-// in build order (smaller child first). The layout is engine-agnostic —
-// both predict from plain float thresholds, so that is all a state stores.
+// in-memory form too: entry 0 is the root, Feature is -1 at a leaf, Cut is
+// a split's threshold or a leaf's value, Left/Right hold child indices (-1
+// for leaves), and every child comes after its parent. Exact-engine trees
+// lay their nodes out in left-first preorder, histogram-engine trees in
+// build order (smaller child first). The layout is engine-agnostic — both
+// predict from plain float thresholds, so that is all a state stores.
 // Artifacts store a state as one tree block (see AppendState).
 type State struct {
 	Params Params
@@ -33,16 +34,18 @@ type State struct {
 
 // State returns the fitted tree's state. It shares the tree's arrays.
 func (t *Tree) State() (State, error) {
-	if len(t.nodes.Leaf) == 0 {
+	if len(t.nodes.Feature) == 0 {
 		return State{}, fmt.Errorf("tree: snapshot before Fit")
 	}
 	return State{Params: t.Params, Dim: t.dim, Depth: t.depth, Gains: t.gains, nodeArrays: t.nodes}, nil
 }
 
 // FromState validates st and returns the fitted tree it describes. The
-// tree takes ownership of st's arrays.
+// tree takes ownership of st's arrays. Every node field is either read by
+// predict or pinned here: a leaf's children must be -1, so a state that
+// decodes re-encodes to the same bytes.
 func FromState(st *State) (*Tree, error) {
-	n := len(st.Leaf)
+	n := len(st.Feature)
 	if n == 0 {
 		return nil, fmt.Errorf("tree: state has no nodes")
 	}
@@ -56,27 +59,27 @@ func FromState(st *State) (*Tree, error) {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if st.Samples[i] < 0 {
-			return nil, fmt.Errorf("tree: node %d has %d samples", i, st.Samples[i])
-		}
-		if st.Leaf[i] {
+		f, l, r := int(st.Feature[i]), int(st.Left[i]), int(st.Right[i])
+		if f == -1 {
+			if l != -1 || r != -1 {
+				return nil, fmt.Errorf("tree: leaf node %d has children (%d, %d)", i, l, r)
+			}
 			continue
 		}
-		l, r := st.Left[i], st.Right[i]
+		if f < 0 || f >= st.Dim {
+			return nil, fmt.Errorf("tree: node %d splits on feature %d of %d", i, f, st.Dim)
+		}
 		if l <= i || l >= n || r <= i || r >= n {
 			return nil, fmt.Errorf("tree: node %d has out-of-range children (%d, %d)", i, l, r)
-		}
-		if st.Feature[i] < 0 || st.Feature[i] >= st.Dim {
-			return nil, fmt.Errorf("tree: node %d splits on feature %d of %d", i, st.Feature[i], st.Dim)
 		}
 	}
 	return &Tree{Params: st.Params, nodes: st.nodeArrays, dim: st.Dim, depth: st.Depth, gains: st.Gains}, nil
 }
 
 // checkFinite rejects a state holding NaN or ±Inf in MinImpurityDec, a
-// feature gain, a node value or a threshold. Fits never produce one, and
-// both AppendState and FromState refuse them, so what one writes the other
-// reads.
+// feature gain or a node's cut (a threshold or a leaf value). Fits never
+// produce one, and both AppendState and FromState refuse them, so what one
+// writes the other reads.
 func checkFinite(st *State) error {
 	if !finite(st.Params.MinImpurityDec) {
 		return fmt.Errorf("tree: state has MinImpurityDec %v", st.Params.MinImpurityDec)
@@ -84,7 +87,7 @@ func checkFinite(st *State) error {
 	for _, col := range []struct {
 		name string
 		xs   []float64
-	}{{"feature gain", st.Gains}, {"node value", st.Value}, {"threshold", st.Threshold}} {
+	}{{"feature gain", st.Gains}, {"node cut", st.Cut}} {
 		for i, x := range col.xs {
 			if !finite(x) {
 				return fmt.Errorf("tree: state has %s %v at %d", col.name, x, i)
@@ -98,9 +101,8 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // sameLengths reports whether every node array has one entry per node.
 func (a *nodeArrays) sameLengths() bool {
-	n := len(a.Leaf)
-	return len(a.Value) == n && len(a.Feature) == n && len(a.Threshold) == n &&
-		len(a.Left) == n && len(a.Right) == n && len(a.Samples) == n
+	n := len(a.Feature)
+	return len(a.Cut) == n && len(a.Left) == n && len(a.Right) == n
 }
 
 // A tree block is a State in little-endian binary, so artifacts neither
@@ -111,20 +113,19 @@ func (a *nodeArrays) sameLengths() bool {
 //	dim      int64
 //	depth    int64
 //	gains    int64 count, then count float64s
-//	nodes    int64 count n, then Leaf (n bytes, 0 or 1), Value (n float64s),
-//	         Feature (n int32s), Threshold (n float64s), Left, Right and
-//	         Samples (n int32s each)
+//	nodes    int64 count n, then Feature (n int32s), Cut (n float64s),
+//	         Left and Right (n int32s each)
 //
 // A float64 is stored as its IEEE 754 bits, so a decoded tree predicts bit
 // for bit as the encoded one.
 const (
 	blockHeaderBytes = 7*8 + 2*8
-	nodeBytes        = 1 + 8 + 4 + 8 + 4 + 4 + 4
+	nodeBytes        = 4 + 8 + 4 + 4
 )
 
 // AppendState appends st to b as one tree block. It refuses a non-finite
-// float (as FromState does) and an int that int32 cannot hold; it does not
-// otherwise validate st.
+// float (as FromState does) and node arrays of different lengths; it does
+// not otherwise validate st.
 func AppendState(b []byte, st *State) ([]byte, error) {
 	if err := checkFinite(st); err != nil {
 		return nil, err
@@ -132,7 +133,7 @@ func AppendState(b []byte, st *State) ([]byte, error) {
 	if !st.sameLengths() {
 		return nil, fmt.Errorf("tree: inconsistent node-array lengths in state")
 	}
-	n := len(st.Leaf)
+	n := len(st.Feature)
 	b = slices.Grow(b, blockHeaderBytes+8+8*len(st.Gains)+8+nodeBytes*n)
 	p := st.Params
 	for _, v := range []int{p.MaxDepth, p.MinSamplesSplit, p.MinSamplesLeaf, p.MaxFeatures} {
@@ -144,27 +145,10 @@ func AppendState(b []byte, st *State) ([]byte, error) {
 	}
 	b = appendFloats(b, st.Gains)
 	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	for _, leaf := range st.Leaf {
-		if leaf {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	b = appendFloats(b, st.Value)
-	var err error
-	if b, err = appendInt32s(b, "feature", st.Feature); err != nil {
-		return nil, err
-	}
-	b = appendFloats(b, st.Threshold)
-	for _, col := range []struct {
-		name string
-		xs   []int
-	}{{"left child", st.Left}, {"right child", st.Right}, {"samples", st.Samples}} {
-		if b, err = appendInt32s(b, col.name, col.xs); err != nil {
-			return nil, err
-		}
-	}
+	b = appendInt32s(b, st.Feature)
+	b = appendFloats(b, st.Cut)
+	b = appendInt32s(b, st.Left)
+	b = appendInt32s(b, st.Right)
 	return b, nil
 }
 
@@ -175,14 +159,11 @@ func appendFloats(b []byte, xs []float64) []byte {
 	return b
 }
 
-func appendInt32s(b []byte, name string, xs []int) ([]byte, error) {
-	for i, x := range xs {
-		if x != int(int32(x)) {
-			return nil, fmt.Errorf("tree: node %d %s %d does not fit a tree block", i, name, x)
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(x)))
+func appendInt32s(b []byte, xs []int32) []byte {
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
 	}
-	return b, nil
+	return b
 }
 
 // ReadState decodes the tree block at the front of b and returns its state
@@ -213,20 +194,10 @@ func ReadState(b []byte) (State, []byte, error) {
 	if err != nil {
 		return State{}, nil, fmt.Errorf("tree: block nodes: %w", err)
 	}
-	st.Leaf = make([]bool, n)
-	for i, c := range b[:n] {
-		if c > 1 {
-			return State{}, nil, fmt.Errorf("tree: node %d has leaf flag %d", i, c)
-		}
-		st.Leaf[i] = c == 1
-	}
-	b = b[n:]
-	st.Value, b = readFloats(b, n)
 	st.Feature, b = readInt32s(b, n)
-	st.Threshold, b = readFloats(b, n)
+	st.Cut, b = readFloats(b, n)
 	st.Left, b = readInt32s(b, n)
 	st.Right, b = readInt32s(b, n)
-	st.Samples, b = readInt32s(b, n)
 	return st, b, nil
 }
 
@@ -252,10 +223,10 @@ func readFloats(b []byte, n int) ([]float64, []byte) {
 	return out, b[8*n:]
 }
 
-func readInt32s(b []byte, n int) ([]int, []byte) {
-	out := make([]int, n)
+func readInt32s(b []byte, n int) ([]int32, []byte) {
+	out := make([]int32, n)
 	for i := range out {
-		out[i] = int(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out, b[4*n:]
 }

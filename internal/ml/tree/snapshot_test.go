@@ -36,7 +36,7 @@ func TestStateBlockRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := blockHeaderBytes + 8 + 8*st.Dim + 8 + nodeBytes*len(st.Leaf); len(one) != want {
+		if want := blockHeaderBytes + 8 + 8*st.Dim + 8 + nodeBytes*len(st.Feature); len(one) != want {
 			t.Fatalf("splitter %d: block is %d bytes, want %d", s, len(one), want)
 		}
 		two, err := AppendState(append([]byte(nil), one...), &st)
@@ -67,15 +67,15 @@ func TestStateBlockRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateCodecRefusesNonFinite: NaN and ±Inf in a gain, a node value, a
-// threshold or MinImpurityDec are refused by AppendState and by FromState
-// alike, as is a negative sample count by FromState, so every tree that
+// TestStateCodecRefusesNonFinite: NaN and ±Inf in a gain, a leaf's value
+// or a split's threshold (both in the cut column) or MinImpurityDec are
+// refused by AppendState and by FromState alike, so every tree that
 // decodes is finite and re-encodes.
 func TestStateCodecRefusesNonFinite(t *testing.T) {
 	for name, edit := range map[string]func(*State, float64){
 		"gain":           func(st *State, x float64) { st.Gains[0] = x },
-		"value":          func(st *State, x float64) { st.Value[len(st.Value)-1] = x },
-		"threshold":      func(st *State, x float64) { st.Threshold[0] = x },
+		"value":          func(st *State, x float64) { st.Cut[len(st.Cut)-1] = x },
+		"threshold":      func(st *State, x float64) { st.Cut[0] = x },
 		"MinImpurityDec": func(st *State, x float64) { st.Params.MinImpurityDec = x },
 	} {
 		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -89,22 +89,12 @@ func TestStateCodecRefusesNonFinite(t *testing.T) {
 			}
 		}
 	}
-	st := fittedState(t, SplitterExact)
-	st.Samples[len(st.Samples)-1] = -1
-	if _, err := FromState(&st); err == nil {
-		t.Error("FromState accepted a negative sample count")
-	}
 }
 
-// TestAppendStateRefusesUnencodable: an int past int32 and node arrays of
-// different lengths cannot be written as a block.
+// TestAppendStateRefusesUnencodable: node arrays of different lengths
+// cannot be written as a block.
 func TestAppendStateRefusesUnencodable(t *testing.T) {
 	st := fittedState(t, SplitterExact)
-	st.Samples[0] = math.MaxInt32 + 1
-	if _, err := AppendState(nil, &st); err == nil {
-		t.Error("AppendState accepted a sample count past int32")
-	}
-	st = fittedState(t, SplitterExact)
 	st.Right = st.Right[:1]
 	if _, err := AppendState(nil, &st); err == nil {
 		t.Error("AppendState accepted node arrays of different lengths")
@@ -112,8 +102,8 @@ func TestAppendStateRefusesUnencodable(t *testing.T) {
 }
 
 // TestReadStateChecksLengths: every proper prefix of a block is refused, a
-// leaf flag other than 0 or 1 is refused, and a count that overruns the
-// input is refused before anything is allocated for it.
+// root feature of -2 decodes but is refused by FromState, and a count that
+// overruns the input is refused before anything is allocated for it.
 func TestReadStateChecksLengths(t *testing.T) {
 	st := fittedState(t, SplitterExact)
 	block, err := AppendState(nil, &st)
@@ -128,10 +118,18 @@ func TestReadStateChecksLengths(t *testing.T) {
 
 	gainsAt := blockHeaderBytes
 	nodesAt := gainsAt + 8 + 8*st.Dim
-	flag := append([]byte(nil), block...)
-	flag[nodesAt+8] = 2
-	if _, _, err := ReadState(flag); err == nil {
-		t.Error("leaf flag 2 decoded")
+	low := append([]byte(nil), block...)
+	binary.LittleEndian.PutUint32(low[nodesAt+8:], math.MaxUint32-1)
+	got, _, err := ReadState(low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Feature[0] != -2 {
+		t.Fatalf("root feature decoded as %d, want -2", got.Feature[0])
+	}
+	var tr Tree
+	if err := tr.RestoreState(low); err == nil {
+		t.Error("a root feature of -2 restored")
 	}
 
 	for name, at := range map[string]int{"gains": gainsAt, "nodes": nodesAt} {

@@ -90,20 +90,17 @@ func DefaultParams() Params {
 	return Params{MaxDepth: 0, MinSamplesSplit: 2, MinSamplesLeaf: 1}
 }
 
-// nodeArrays holds a tree's nodes as parallel arrays, one entry per node.
-// Entry 0 is the root. A split node i sends a row x to Left[i] when
-// x[Feature[i]] <= Threshold[i] and to Right[i] otherwise; every child sits
-// at a higher index than its parent, so a walk from the root always ends.
-// A leaf predicts Value[i] and holds Feature 0, Threshold 0 and children -1.
-// Samples counts the training rows that reached the node.
+// nodeArrays holds a tree's nodes as four parallel columns, one entry per
+// node, each read by predict. Entry 0 is the root. A split node i sends a
+// row x to Left[i] when x[Feature[i]] <= Cut[i] and to Right[i] otherwise;
+// every child sits at a higher index than its parent, so a walk from the
+// root always ends. A leaf has Feature -1 and children -1, and predicts
+// Cut[i].
 type nodeArrays struct {
-	Leaf      []bool    `json:"leaf"`
-	Value     []float64 `json:"value"`
-	Feature   []int     `json:"feature"`
-	Threshold []float64 `json:"threshold"`
-	Left      []int     `json:"left"`
-	Right     []int     `json:"right"`
-	Samples   []int     `json:"samples"`
+	Feature []int32
+	Cut     []float64
+	Left    []int32
+	Right   []int32
 }
 
 // reset empties the arrays for a fit over n samples to maxDepth, keeping
@@ -116,34 +113,27 @@ func (a *nodeArrays) reset(n, minLeaf, maxDepth int) {
 		bound = min(bound, 1<<(maxDepth+1)-1)
 	}
 	bound = max(bound, 1)
-	a.Leaf = slices.Grow(a.Leaf[:0], bound)
-	a.Value = slices.Grow(a.Value[:0], bound)
 	a.Feature = slices.Grow(a.Feature[:0], bound)
-	a.Threshold = slices.Grow(a.Threshold[:0], bound)
+	a.Cut = slices.Grow(a.Cut[:0], bound)
 	a.Left = slices.Grow(a.Left[:0], bound)
 	a.Right = slices.Grow(a.Right[:0], bound)
-	a.Samples = slices.Grow(a.Samples[:0], bound)
 }
 
-// add appends a leaf and returns its index.
-func (a *nodeArrays) add(value float64, samples int) int {
-	a.Leaf = append(a.Leaf, true)
-	a.Value = append(a.Value, value)
-	a.Feature = append(a.Feature, 0)
-	a.Threshold = append(a.Threshold, 0)
+// add appends a leaf predicting value and returns its index.
+func (a *nodeArrays) add(value float64) int {
+	a.Feature = append(a.Feature, -1)
+	a.Cut = append(a.Cut, value)
 	a.Left = append(a.Left, -1)
 	a.Right = append(a.Right, -1)
-	a.Samples = append(a.Samples, samples)
-	return len(a.Leaf) - 1
+	return len(a.Feature) - 1
 }
 
 // split turns leaf i into a split on feature ≤ threshold with the given
 // children.
 func (a *nodeArrays) split(i, feature int, threshold float64, left, right int) {
-	a.Leaf[i] = false
-	a.Feature[i] = feature
-	a.Threshold[i] = threshold
-	a.Left[i], a.Right[i] = left, right
+	a.Feature[i] = int32(feature)
+	a.Cut[i] = threshold
+	a.Left[i], a.Right[i] = int32(left), int32(right)
 }
 
 // Tree is a fitted regression tree.
@@ -362,7 +352,7 @@ func (t *Tree) build(x [][]float64, y, w []float64, idx []int, depth int) int {
 	if depth > t.depth {
 		t.depth = depth
 	}
-	id := t.nodes.add(weightedMean(y, w, idx), len(idx))
+	id := t.nodes.add(weightedMean(y, w, idx))
 
 	// Stopping conditions.
 	if len(idx) < t.Params.MinSamplesSplit ||
@@ -504,7 +494,7 @@ func (t *Tree) Predict(x [][]float64) []float64 {
 // len(x)). Ensemble loops that predict tree-by-tree pass one scratch buffer
 // so per-tree prediction costs no allocation.
 func (t *Tree) PredictInto(x [][]float64, dst []float64) {
-	if len(t.nodes.Leaf) == 0 {
+	if len(t.nodes.Feature) == 0 {
 		panic("tree: Predict before Fit")
 	}
 	for i, row := range x {
@@ -514,40 +504,37 @@ func (t *Tree) PredictInto(x [][]float64, dst []float64) {
 
 func (t *Tree) predictRow(row []float64) float64 {
 	a := &t.nodes
-	leaf := a.Leaf
-	// Slicing every array to len(leaf) lets the compiler drop their bounds
-	// checks once leaf[i] has passed its own.
-	n := len(leaf)
-	feat, thr, left, right := a.Feature[:n], a.Threshold[:n], a.Left[:n], a.Right[:n]
-	i := 0
-	for !leaf[i] {
-		if row[feat[i]] <= thr[i] {
+	feat := a.Feature
+	// Slicing every array to len(feat) lets the compiler drop their bounds
+	// checks once feat[i] has passed its own.
+	n := len(feat)
+	cut, left, right := a.Cut[:n], a.Left[:n], a.Right[:n]
+	i := int32(0)
+	for f := feat[i]; f >= 0; f = feat[i] {
+		if row[f] <= cut[i] {
 			i = left[i]
 		} else {
 			i = right[i]
 		}
 	}
-	return a.Value[i]
+	return cut[i]
 }
 
 // AppendThresholds appends the threshold of every split on feature (an
 // index, ≥ 0) to dst, in node order, and returns the extended slice.
 func (t *Tree) AppendThresholds(dst []float64, feature int) []float64 {
 	a := &t.nodes
-	n := len(a.Leaf)
-	leaf, feat, thr := a.Leaf, a.Feature[:n], a.Threshold[:n]
-	// Every threshold is written and only a split on feature advances k:
-	// whether a node matches is close to a coin flip, so a branch on it
-	// would mispredict about every other node.
+	n := len(a.Feature)
+	feat, cut := a.Feature, a.Cut[:n]
+	// Every cut is written and only a split on feature advances k: whether
+	// a node matches is close to a coin flip, so a branch on it would
+	// mispredict about every other node. A leaf's feature is -1, which
+	// never matches.
 	k := len(dst)
 	dst = slices.Grow(dst, n)[:k+n]
 	for i := range n {
-		dst[k] = thr[i]
-		f := feat[i]
-		if leaf[i] {
-			f = -1
-		}
-		if f == feature {
+		dst[k] = cut[i]
+		if int(feat[i]) == feature {
 			k++
 		}
 	}
@@ -555,7 +542,7 @@ func (t *Tree) AppendThresholds(dst []float64, feature int) []float64 {
 }
 
 // NodeCount returns the number of nodes in the fitted tree.
-func (t *Tree) NodeCount() int { return len(t.nodes.Leaf) }
+func (t *Tree) NodeCount() int { return len(t.nodes.Feature) }
 
 // Depth returns the depth of the fitted tree.
 func (t *Tree) Depth() int { return t.depth }

@@ -105,30 +105,46 @@ func TestTreeConstantTarget(t *testing.T) {
 	}
 }
 
+// TestTreeMinSamplesLeaf: with either engine, every leaf of a tree grown
+// with MinSamplesLeaf 30 holds at least 30 of the training rows routed to
+// it, and no leaf is reached by none. The noise keeps every node's target
+// from being constant, so only MinSamplesLeaf stops the growth.
 func TestTreeMinSamplesLeaf(t *testing.T) {
 	r := rng.New(4)
 	x, y := stepData(r, 200)
-	tr := New(Params{MinSamplesLeaf: 30, MinSamplesSplit: 2}, nil)
-	if err := tr.Fit(x, y); err != nil {
-		t.Fatal(err)
+	for i := range y {
+		y[i] += r.Uniform(-0.5, 0.5)
 	}
-	// Verify no leaf smaller than 30 by walking the tree.
-	a := &tr.nodes
-	var check func(n int)
-	check = func(n int) {
-		if a.Leaf[n] {
-			if a.Samples[n] < 30 && n != 0 {
-				// Root can be small only if data is tiny; here it is not.
+	for _, s := range []Splitter{SplitterExact, SplitterHist} {
+		tr := New(Params{MinSamplesLeaf: 30, MinSamplesSplit: 2, Splitter: s}, nil)
+		if err := tr.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		if tr.NodeCount() == 1 {
+			t.Fatalf("splitter %d: the tree is one leaf", s)
+		}
+		a := &tr.nodes
+		rows := make(map[int32]int)
+		for _, row := range x {
+			i := int32(0)
+			for f := a.Feature[i]; f >= 0; f = a.Feature[i] {
+				if row[f] <= a.Cut[i] {
+					i = a.Left[i]
+				} else {
+					i = a.Right[i]
+				}
 			}
-			return
+			rows[i]++
 		}
-		if a.Samples[a.Left[n]] < 30 || a.Samples[a.Right[n]] < 30 {
-			t.Fatalf("leaf with < 30 samples: %d/%d", a.Samples[a.Left[n]], a.Samples[a.Right[n]])
+		for leaf, n := range rows {
+			if n < 30 {
+				t.Fatalf("splitter %d: leaf %d holds %d training rows, want ≥ 30", s, leaf, n)
+			}
 		}
-		check(a.Left[n])
-		check(a.Right[n])
+		if leaves := (tr.NodeCount() + 1) / 2; len(rows) != leaves {
+			t.Fatalf("splitter %d: training rows reach %d of %d leaves", s, len(rows), leaves)
+		}
 	}
-	check(0)
 }
 
 func TestTreeWeightedFit(t *testing.T) {
