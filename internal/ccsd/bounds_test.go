@@ -2,8 +2,11 @@ package ccsd
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
+	"parcost/internal/dataset"
 	"parcost/internal/machine"
 	"parcost/internal/rng"
 )
@@ -65,21 +68,121 @@ func TestSecondsBoundsIgnoreNoise(t *testing.T) {
 	}
 }
 
-// FuzzSecondsBounds checks, over (machine, O, V, tile, nodes), that
+// checkTileBounds fails t unless b, a TileBounds of (spec, p, tile, opts),
+// gives at nodes the same bits as a fresh SecondsBounds, and errors exactly
+// when it does, with the same text.
+func checkTileBounds(t *testing.T, b *TileBounds, spec machine.Spec, p Problem, tile, nodes int, opts Options) {
+	t.Helper()
+	lo, hi, err := b.Seconds(nodes)
+	wlo, whi, werr := SecondsBounds(spec, p, tile, nodes, opts)
+	if fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: TileBounds err %v, SecondsBounds err %v",
+			spec.Name, p, tile, nodes, opts.ExactBlockCap, err, werr)
+	}
+	if b.Feasible(nodes) != (werr == nil) {
+		t.Fatalf("%s %+v tile=%d nodes=%d: Feasible %v, SecondsBounds err %v",
+			spec.Name, p, tile, nodes, b.Feasible(nodes), werr)
+	}
+	if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: TileBounds [%v, %v], SecondsBounds [%v, %v]",
+			spec.Name, p, tile, nodes, opts.ExactBlockCap, lo, hi, wlo, whi)
+	}
+}
+
+// TestTileBoundsMatchSecondsBounds builds one TileBounds per seeded
+// (machine, O, V, tile, block cap) and asks it at every DefaultGrid node
+// count in turn, and at two non-positive ones, against a fresh
+// SecondsBounds each time. Tiles come from DefaultGrid and from off it
+// (remainder tiles on either axis, and tiles whose working set does not fit
+// rank memory); some problems are large enough that the distributed T2 does
+// not fit at the smaller node counts; the caps move terms to the aggregate
+// model. The test checks it reaches each of those regimes.
+func TestTileBoundsMatchSecondsBounds(t *testing.T) {
+	r := rng.New(20261019)
+	grid := dataset.DefaultGrid()
+	nodes := append([]int{0, -3}, grid.Nodes...)
+	var exact, aggregate, remainder, underfull, overfull, tileUnfit, t2Unfit int
+	for i := 0; i < 90; i++ {
+		spec := machine.Aurora()
+		if i%2 == 1 {
+			spec = machine.Frontier()
+		}
+		p := Problem{O: 10 + r.Intn(300), V: 50 + r.Intn(2000)}
+		if i%9 == 8 {
+			p = Problem{O: 2000 + r.Intn(2000), V: 5000 + r.Intn(5000)}
+		}
+		tile := grid.TileSizes[r.Intn(len(grid.TileSizes))]
+		if i%4 == 3 {
+			tile = 1 + r.Intn(260)
+		}
+		opts := Options{ExactBlockCap: []int{0, 64, 512}[i%3]}
+		b := NewTileBounds(spec, p, tile, opts)
+		for _, n := range nodes {
+			checkTileBounds(t, b, spec, p, tile, n, opts)
+			if n <= 0 {
+				continue
+			}
+			switch ok, why := Feasible(spec, p, tile, n); {
+			case ok:
+			case strings.HasPrefix(why, "tile"):
+				tileUnfit++
+			default:
+				t2Unfit++
+			}
+		}
+		for _, tb := range b.terms {
+			if !b.tileOK {
+				break
+			}
+			if !tb.exact {
+				aggregate++
+				continue
+			}
+			exact++
+			if p.O%tile != 0 || p.V%tile != 0 {
+				remainder++
+			}
+			if tb.blocks <= float64(spec.Ranks(grid.Nodes[len(grid.Nodes)-1])) {
+				underfull++
+			}
+			if tb.blocks > float64(spec.Ranks(grid.Nodes[0])) {
+				overfull++
+			}
+		}
+	}
+	for name, n := range map[string]int{
+		"exact": exact, "aggregate": aggregate, "remainder": remainder,
+		"blocks<=ranks": underfull, "blocks>ranks": overfull,
+		"tile working set too large": tileUnfit, "distributed T2 too large": t2Unfit,
+	} {
+		if n == 0 {
+			t.Errorf("seeded cases never reach the %s regime", name)
+		}
+	}
+}
+
+// FuzzSecondsBounds checks, over (machine, O, V, tile, nodes, nodes2), that
 // SecondsBounds errors exactly when Simulate does and otherwise brackets
-// the noise-free Seconds. O and V are folded into [1, 400] and [1, 2000]
-// (the cost model needs non-empty orbital ranges); tile and nodes keep
+// the noise-free Seconds, at both node counts; and that one TileBounds,
+// asked at nodes and then at nodes2, gives a fresh SecondsBounds' bits and
+// errors each time. O and V are folded into [1, 400] and [1, 2000] (the cost
+// model needs non-empty orbital ranges); tile and the node counts keep
 // their sign so non-positive values reach the error path. The corpus under
 // testdata/fuzz seeds every regime: list-scheduled terms with blocks ≤ ranks
 // and with blocks > ranks, remainder tiles, the aggregate model above the
 // block cap, and an infeasible configuration.
 func FuzzSecondsBounds(f *testing.F) {
-	f.Fuzz(func(t *testing.T, frontier bool, o, v, tile, nodes int) {
+	f.Fuzz(func(t *testing.T, frontier bool, o, v, tile, nodes, nodes2 int) {
 		spec := machine.Aurora()
 		if frontier {
 			spec = machine.Frontier()
 		}
 		p := Problem{O: 1 + int(uint(o)%400), V: 1 + int(uint(v)%2000)}
-		checkBounds(t, spec, p, tile%512, nodes%1024, Options{})
+		tile %= 512
+		b := NewTileBounds(spec, p, tile, Options{})
+		for _, n := range []int{nodes % 1024, nodes2 % 1024} {
+			checkBounds(t, spec, p, tile, n, Options{})
+			checkTileBounds(t, b, spec, p, tile, n, Options{})
+		}
 	})
 }

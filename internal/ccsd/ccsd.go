@@ -20,9 +20,10 @@
 //
 // On the exact path a term's blocks are costed once per tile-size class
 // (which axes sit on their remainder tile, at most 2⁶ classes) rather than
-// once per block; the per-block durations and the communication sum are
-// still emitted in block order, so the result is bit-identical to costing
-// every block.
+// once per block, and the GEMM shape of a class's external and contraction
+// halves once per half; the per-block durations and the communication sum
+// are still emitted in block order, so the result is bit-identical to
+// costing every block.
 //
 // SecondsBounds brackets the noise-free iteration time without running the
 // list scheduler, for callers that only need to know whether the time falls
@@ -37,6 +38,14 @@
 // rounding, so the list-scheduled bounds are widened by a relative slack
 // derived from the block cap (see boundSlack). Seconds itself stays exact:
 // it still schedules every block.
+//
+// None of Σ, pₘₐₓ, the comm bytes or the aggregate model's block statistics
+// depends on the node count, so SecondsBounds is split in two: a TileBounds,
+// built once per (machine, problem, tile), holds them, and its Seconds
+// method does only the rank-dependent rest. SecondsBounds is one TileBounds
+// used once; a caller that asks about many node counts at a few tiles, like
+// the advisor's oracle walk over a grid, keeps one TileBounds per tile and
+// gets the same bits.
 package ccsd
 
 import (
@@ -200,27 +209,38 @@ type Breakdown struct {
 
 // Feasible reports whether the configuration fits in machine memory. CCSD
 // holds the T2 amplitudes and the largest integral blocks distributed
-// across ranks; if per-rank memory is exceeded the run is infeasible.
+// across ranks; if per-rank memory is exceeded the run is infeasible. The
+// reason text is built only for an infeasible configuration.
 func Feasible(spec machine.Spec, p Problem, tile, nodes int) (bool, string) {
 	if nodes <= 0 || tile <= 0 {
 		return false, "non-positive nodes or tile"
 	}
-	ranks := spec.Ranks(nodes)
-	// Distributed T2 amplitude tensor is O²V² doubles, spread over ranks.
-	t2 := float64(p.O) * float64(p.O) * float64(p.V) * float64(p.V) * bytesPerElem
-	// Two-electron integrals <ab|cd> are V⁴ but stored in tiles; the
-	// resident working set per rank is a handful of the largest blocks.
-	perRankDist := t2 / float64(ranks)
-	if perRankDist > spec.NodeMemBytes*float64(spec.RanksPerNode) {
+	if perRankDist, ok := t2Share(spec, p, nodes); !ok {
 		return false, fmt.Sprintf("distributed T2 %.2e B/rank exceeds node memory", perRankDist)
 	}
-	// Task-local buffers: a few blocks of the largest tile product.
-	block := float64(tile) * float64(tile) * float64(tile) * float64(tile) * bytesPerElem
-	working := 6 * block
-	if working > spec.RankMemBytes {
+	if working, ok := tileWorkingSet(spec, tile); !ok {
 		return false, fmt.Sprintf("tile working set %.2e B exceeds rank memory", working)
 	}
 	return true, ""
+}
+
+// t2Share returns the bytes of the distributed T2 amplitude tensor (O²V²
+// doubles) each rank of a nodes-node job holds, nodes > 0, and whether they
+// fit in node memory. The two-electron integrals <ab|cd> are V⁴ but stored
+// in tiles, so their resident share is part of the tile working set.
+func t2Share(spec machine.Spec, p Problem, nodes int) (perRankDist float64, ok bool) {
+	t2 := float64(p.O) * float64(p.O) * float64(p.V) * float64(p.V) * bytesPerElem
+	perRankDist = t2 / float64(spec.Ranks(nodes))
+	return perRankDist, !(perRankDist > spec.NodeMemBytes*float64(spec.RanksPerNode))
+}
+
+// tileWorkingSet returns a rank's task-local buffers at a positive tile
+// size, a few blocks of the largest tile product, and whether they fit in
+// rank memory.
+func tileWorkingSet(spec machine.Spec, tile int) (working float64, ok bool) {
+	block := float64(tile) * float64(tile) * float64(tile) * float64(tile) * bytesPerElem
+	working = 6 * block
+	return working, !(working > spec.RankMemBytes)
 }
 
 // checkFeasible returns Simulate's error for a memory-infeasible
@@ -262,10 +282,11 @@ func Simulate(spec machine.Spec, p Problem, tile, nodes int, opts Options) (Brea
 // bounds the sum of the exact terms.
 func iterationSeconds(spec machine.Spec, nodes int, terms []TermCost) float64 {
 	var total float64
+	// Each term is a synchronization stage.
+	barrier := spec.BarrierTime(nodes)
 	for _, tc := range terms {
 		total += tc.Compute + tc.Comm
-		// Each term is a synchronization stage.
-		total += spec.BarrierTime(nodes)
+		total += barrier
 	}
 	// Per-iteration coordination overhead that grows with the rank count;
 	// this is what rolls off strong scaling and yields an interior
@@ -275,21 +296,128 @@ func iterationSeconds(spec machine.Spec, nodes int, terms []TermCost) float64 {
 
 // SecondsBounds returns lo ≤ Seconds(spec, p, tile, nodes, opts) ≤ hi for
 // the noise-free iteration time (opts.Noise is ignored) without running the
-// list scheduler. It errors exactly when Simulate does. Terms on the
-// aggregate model are costed exactly; see the package doc for how the
-// list-scheduled terms are bounded.
+// list scheduler. It errors exactly when Simulate does. It is
+// NewTileBounds(spec, p, tile, opts).Seconds(nodes); a caller that bounds
+// several node counts at one tile should keep the TileBounds.
 func SecondsBounds(spec machine.Spec, p Problem, tile, nodes int, opts Options) (lo, hi float64, err error) {
-	if err := checkFeasible(spec, p, tile, nodes); err != nil {
-		return 0, 0, err
+	return NewTileBounds(spec, p, tile, opts).Seconds(nodes)
+}
+
+// numTerms is the number of contractions Terms returns.
+const numTerms = 5
+
+// TileBounds is the node-independent part of SecondsBounds for one
+// (machine, problem, tile): each term's block count, flops and block costs,
+// summed once. Seconds finishes the bounds for a node count.
+type TileBounds struct {
+	spec   machine.Spec
+	p      Problem
+	tile   int
+	tileOK bool    // tile > 0 and its working set fits in rank memory
+	slack  float64 // boundSlack at the options' block cap
+	terms  [numTerms]termBound
+}
+
+// termBound is one term's node-independent summary. A list-scheduled term
+// (exact) keeps the total work, communication bytes and longest block over
+// its tile-size classes, summed in class order; a term on the aggregate
+// model keeps the block duration statistics and bytes per block that
+// aggregate finishes for a rank count.
+type termBound struct {
+	kind   TermKind
+	blocks float64
+	flops  float64
+	exact  bool
+
+	work, bytes, pmax float64 // list-scheduled
+
+	meanDur, std, maxDur, commBytesPerBlock float64 // aggregate
+}
+
+// NewTileBounds summarizes the CCSD terms of p at tile size tile once, for
+// SecondsBounds at any node count. The terms are costed only when the tile's
+// working set fits in rank memory: otherwise every node count is
+// infeasible. p must have positive O and V, as Terms requires.
+func NewTileBounds(spec machine.Spec, p Problem, tile int, opts Options) *TileBounds {
+	b := &TileBounds{spec: spec, p: p, tile: tile, slack: boundSlack(opts.cap())}
+	_, fits := tileWorkingSet(spec, tile)
+	if b.tileOK = tile > 0 && fits; !b.tileOK {
+		return b
 	}
-	ranks := spec.Ranks(nodes)
-	terms := Terms(p, tile)
-	los := make([]TermCost, len(terms))
-	his := make([]TermCost, len(terms))
-	for i, term := range terms {
-		los[i], his[i] = boundTerm(spec, term, tile, nodes, ranks, opts)
+	for i, term := range Terms(p, tile) {
+		b.terms[i] = newTermBound(spec, term, tile, opts)
 	}
-	return iterationSeconds(spec, nodes, los), iterationSeconds(spec, nodes, his), nil
+	return b
+}
+
+// newTermBound summarizes one term, on the aggregate model above the block
+// cap as simulateTerm costs it.
+func newTermBound(spec machine.Spec, term Term, tile int, opts Options) termBound {
+	space := term.blockSpace()
+	blocks := space.Blocks()
+	if blocks > float64(opts.cap()) {
+		return aggregateBound(spec, term, tile, blocks)
+	}
+	tb := termBound{kind: term.Kind, blocks: blocks, flops: term.Flops(), exact: true}
+	for _, c := range classCosts(spec, term, tile, space) {
+		if c.blocks == 0 {
+			continue
+		}
+		tb.work += c.blocks * c.dur
+		tb.bytes += c.blocks * c.commBytes
+		tb.pmax = math.Max(tb.pmax, c.dur)
+	}
+	return tb
+}
+
+// Feasible reports Feasible(spec, p, tile, nodes)'s ok without building its
+// reason text.
+func (b *TileBounds) Feasible(nodes int) bool {
+	if !b.tileOK || nodes <= 0 {
+		return false
+	}
+	_, ok := t2Share(b.spec, b.p, nodes)
+	return ok
+}
+
+// Seconds returns SecondsBounds(spec, p, tile, nodes, opts) for the
+// TileBounds' machine, problem, tile and options, bit for bit, and the same
+// error.
+func (b *TileBounds) Seconds(nodes int) (lo, hi float64, err error) {
+	if !b.Feasible(nodes) {
+		return 0, 0, checkFeasible(b.spec, b.p, b.tile, nodes)
+	}
+	ranks := b.spec.Ranks(nodes)
+	var los, his [numTerms]TermCost
+	for i := range b.terms {
+		los[i], his[i] = b.terms[i].bounds(b.spec, nodes, ranks, b.slack)
+	}
+	return iterationSeconds(b.spec, nodes, los[:]), iterationSeconds(b.spec, nodes, his[:]), nil
+}
+
+// bounds returns lower and upper bounds on simulateTerm's Compute and Comm
+// for the term at a rank count; the other fields equal simulateTerm's.
+func (t *termBound) bounds(spec machine.Spec, nodes, ranks int, slack float64) (lo, hi TermCost) {
+	if !t.exact {
+		tc := t.aggregate(spec, nodes, ranks)
+		return tc, tc
+	}
+	lo = TermCost{Kind: t.kind, Blocks: t.blocks, Flops: t.flops, Exact: true}
+	hi = lo
+	if t.blocks <= float64(ranks) {
+		// Every block starts on an idle rank: the makespan is the longest
+		// block, exactly.
+		lo.Compute, hi.Compute = t.pmax, t.pmax
+	} else {
+		// Graham: max(pmax, Σ/r) ≤ greedy makespan ≤ Σ/r + pmax.
+		mean := t.work / float64(ranks)
+		lo.Compute = math.Max(t.pmax, mean*(1-slack))
+		hi.Compute = (mean + t.pmax) * (1 + slack)
+	}
+	// CommTime is monotone in bytes, so bounding the bytes bounds it.
+	lo.Comm = termComm(spec, t.bytes*(1-slack), t.blocks, nodes, ranks)
+	hi.Comm = termComm(spec, t.bytes*(1+slack), t.blocks, nodes, ranks)
+	return lo, hi
 }
 
 // getsPerBlock is the number of one-sided gets a block task issues, one per
@@ -307,7 +435,8 @@ func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Opt
 	space := term.blockSpace()
 	blocks := space.Blocks()
 	if blocks > float64(opts.cap()) {
-		return aggregateTerm(spec, term, tile, nodes, ranks, space, blocks)
+		tb := aggregateBound(spec, term, tile, blocks)
+		return tb.aggregate(spec, nodes, ranks)
 	}
 	// Exact list scheduling over per-block durations. A block's cost
 	// depends only on its tile-size class, so each class is costed once;
@@ -326,48 +455,11 @@ func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Opt
 	return tc
 }
 
-// boundTerm returns lower and upper bounds on simulateTerm's Compute and
-// Comm for one term; the other fields equal simulateTerm's.
-func boundTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Options) (lo, hi TermCost) {
-	space := term.blockSpace()
-	blocks := space.Blocks()
-	if blocks > float64(opts.cap()) {
-		tc := aggregateTerm(spec, term, tile, nodes, ranks, space, blocks)
-		return tc, tc
-	}
-	var work, bytes, pmax float64
-	for _, c := range classCosts(spec, term, tile, space) {
-		if c.blocks == 0 {
-			continue
-		}
-		work += c.blocks * c.dur
-		bytes += c.blocks * c.commBytes
-		pmax = math.Max(pmax, c.dur)
-	}
-	slack := boundSlack(opts.cap())
-	lo = TermCost{Kind: term.Kind, Blocks: blocks, Flops: term.Flops(), Exact: true}
-	hi = lo
-	if blocks <= float64(ranks) {
-		// Every block starts on an idle rank: the makespan is the longest
-		// block, exactly.
-		lo.Compute, hi.Compute = pmax, pmax
-	} else {
-		// Graham: max(pmax, Σ/r) ≤ greedy makespan ≤ Σ/r + pmax.
-		mean := work / float64(ranks)
-		lo.Compute = math.Max(pmax, mean*(1-slack))
-		hi.Compute = (mean + pmax) * (1 + slack)
-	}
-	// CommTime is monotone in bytes, so bounding the bytes bounds it.
-	lo.Comm = termComm(spec, bytes*(1-slack), blocks, nodes, ranks)
-	hi.Comm = termComm(spec, bytes*(1+slack), blocks, nodes, ranks)
-	return lo, hi
-}
-
-// boundSlack is the relative slack that widens boundTerm's interval over
+// boundSlack is the relative slack that widens the bounds' interval over
 // float rounding on a term of at most blockCap blocks. With u = 2⁻⁵³ and
 // n ≤ blockCap, each of simulateTerm's rank loads and its commTotal is a
 // float sum of at most n non-negative terms, within a factor (1 ± γₙ) of
-// the real sum (γₙ = nu/(1−nu)); boundTerm's Σ count·cost sums at most n
+// the real sum (γₙ = nu/(1−nu)); the bounds' Σ count·cost sums at most n
 // products, also within γₙ. The greedy argument holds for the float loads:
 // the longest float load ends with a task d added to the then least-loaded
 // rank, whose float load is at most the mean float load (1+γₙ)(Σ−d)/r.
@@ -379,10 +471,11 @@ func boundSlack(blockCap int) float64 {
 	return 4 * float64(blockCap+2) * 0x1p-53
 }
 
-// aggregateTerm costs a term with the aggregate makespan model used above
-// the exact block cap.
-func aggregateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, space tensor.Space, blocks float64) TermCost {
-	tc := TermCost{Kind: term.Kind, Blocks: blocks, Flops: term.Flops()}
+// aggregateBound summarizes a term's blocks for the aggregate makespan
+// model: the per-block duration statistics and communication bytes, which
+// do not depend on the node count.
+func aggregateBound(spec machine.Spec, term Term, tile int, blocks float64) termBound {
+	tb := termBound{kind: term.Kind, blocks: blocks, flops: term.Flops()}
 
 	// Per-block GEMM characteristics. Each block task performs a GEMM whose
 	// flop count is 2 × (external block elements) × (contraction block
@@ -400,21 +493,27 @@ func aggregateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, space t
 	minDim = math.Min(minDim, float64(tile))
 
 	blockFlops := 2 * externalMean * contractMean * term.Weight
-	meanDur := spec.GemmTime(blockFlops, minDim) + spec.TaskOverheadSec
+	tb.meanDur = spec.GemmTime(blockFlops, minDim) + spec.TaskOverheadSec
 
 	// Communication: each task gets its input tiles from remote ranks.
 	// Volume per task ≈ (external block + contraction block) elements.
-	commBytesPerBlock := (externalMean + contractMean) * bytesPerElem
+	tb.commBytesPerBlock = (externalMean + contractMean) * bytesPerElem
 
-	_, variance := sizeMomentsDuration(space, spec, term, tile)
-	std := math.Sqrt(variance)
-	maxDur := spec.GemmTime(maxBlockFlops(term), float64(tile)) + spec.TaskOverheadSec
-	if maxDur < meanDur {
-		maxDur = meanDur
+	_, variance := sizeMomentsDuration(spec, term, tile)
+	tb.std = math.Sqrt(variance)
+	tb.maxDur = spec.GemmTime(maxBlockFlops(term), float64(tile)) + spec.TaskOverheadSec
+	if tb.maxDur < tb.meanDur {
+		tb.maxDur = tb.meanDur
 	}
-	tc.Compute = simsched.ExpectedMakespan(blocks, meanDur, std, maxDur, ranks)
-	tc.Comm = termComm(spec, blocks*commBytesPerBlock, blocks, nodes, ranks)
-	return tc
+	return tb
+}
+
+// aggregate costs an aggregate-model term on a nodes-node job of ranks
+// ranks, as Simulate does above the block cap.
+func (t *termBound) aggregate(spec machine.Spec, nodes, ranks int) TermCost {
+	return TermCost{Kind: t.kind, Blocks: t.blocks, Flops: t.flops,
+		Compute: simsched.ExpectedMakespan(t.blocks, t.meanDur, t.std, t.maxDur, ranks),
+		Comm:    termComm(spec, t.blocks*t.commBytesPerBlock, t.blocks, nodes, ranks)}
 }
 
 // blockClass is the cost of one tile-size class of a term's blocks (see
@@ -426,43 +525,57 @@ type blockClass struct {
 }
 
 // classCosts costs each tile-size class present in the term's block space
-// once, indexed by class. Absent classes are left zero.
+// once, indexed by class. Absent classes are left zero. A class's low
+// len(term.External) bits are the class of its external axes and the rest
+// that of its contraction axes; a block's GEMM shape depends on each half
+// separately, so each half is costed once (see gemmHalf) and shared by
+// every class that holds it.
 func classCosts(spec machine.Spec, term Term, tile int, space tensor.Space) []blockClass {
 	counts := space.ClassBlocks()
 	classes := make([]blockClass, len(counts))
+	nExt := len(term.External)
+	halves := make([]gemmHalf, 1<<nExt+1<<len(term.Contract))
+	ext, con := halves[:1<<nExt], halves[1<<nExt:]
 	sizes := make([]int, len(space))
 	for c, n := range counts {
 		if n == 0 {
 			continue
 		}
-		space.ClassSizes(c, sizes)
-		dur, commBytes := blockCost(spec, term, tile, sizes)
-		classes[c] = blockClass{blocks: n, dur: dur, commBytes: commBytes}
+		e := ext[c&(1<<nExt-1)].cost(term.External, c&(1<<nExt-1), sizes)
+		k := con[c>>nExt].cost(term.Contract, c>>nExt, sizes)
+		bf := 2 * e.elems * k.elems * term.Weight
+		md := math.Min(float64(tile), math.Min(e.dim, k.dim))
+		classes[c] = blockClass{blocks: n, dur: spec.GemmTime(bf, md) + spec.TaskOverheadSec, commBytes: (e.elems + k.elems) * bytesPerElem}
 	}
 	return classes
 }
 
-// blockCost returns the duration and communication bytes of one block task
-// with the given per-axis tile sizes (external axes first, then contract).
-func blockCost(spec machine.Spec, term Term, tile int, sizes []int) (dur, commBytes float64) {
-	ext := 1.0
-	for i := 0; i < len(term.External); i++ {
-		ext *= float64(sizes[i])
+// gemmHalf is one half of a block of some class, its external or its
+// contraction axes: the product of the half's tile sizes, and that
+// product's root over the half's axis count, the GEMM dimension the half
+// offers (a block's GEMM runs at the smaller of its halves', capped at the
+// tile size).
+type gemmHalf struct {
+	elems, dim float64
+	done       bool
+}
+
+// cost fills h for the given class of axes on first use (sizes is scratch
+// of at least len(axes) entries) and returns it.
+func (h *gemmHalf) cost(axes tensor.Space, class int, sizes []int) *gemmHalf {
+	if !h.done {
+		sizes = sizes[:len(axes)]
+		axes.ClassSizes(class, sizes)
+		h.elems = tensor.Product(sizes)
+		h.dim = math.Pow(h.elems, 1.0/float64(max(1, len(axes))))
+		h.done = true
 	}
-	con := 1.0
-	for i := len(term.External); i < len(sizes); i++ {
-		con *= float64(sizes[i])
-	}
-	bf := 2 * ext * con * term.Weight
-	md := math.Min(float64(tile), math.Min(
-		math.Pow(ext, 1.0/float64(max(1, len(term.External)))),
-		math.Pow(con, 1.0/float64(max(1, len(term.Contract))))))
-	return spec.GemmTime(bf, md) + spec.TaskOverheadSec, (ext + con) * bytesPerElem
+	return h
 }
 
 // sizeMomentsDuration returns the mean and variance of per-block GEMM
 // duration, propagated from the block-size moments.
-func sizeMomentsDuration(space tensor.Space, spec machine.Spec, term Term, tile int) (mean, variance float64) {
+func sizeMomentsDuration(spec machine.Spec, term Term, tile int) (mean, variance float64) {
 	extMean, extVar := tensor.Space(term.External).SizeMoments()
 	conMean, conVar := tensor.Space(term.Contract).SizeMoments()
 	// Duration ≈ c · ext · con, a product of independent factors; propagate

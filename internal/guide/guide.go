@@ -55,10 +55,8 @@
 package guide
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"parcost/internal/dataset"
 	"parcost/internal/ml"
@@ -101,10 +99,12 @@ type Oracle interface {
 }
 
 // bandOracle is an Oracle that can answer TrueTime's ok on its own, without
-// the seconds. InBand(c) must equal TrueTime(c)'s ok for every c.
-// Advisor.Recommend prunes with InBand when its oracle implements it.
+// the seconds. BandWalk returns a decision function for one walk over a
+// grid; its result for c must equal TrueTime(c)'s ok for every c, in any
+// order of asking. Advisor.Recommend prunes with one BandWalk per query when
+// its oracle implements it.
 type bandOracle interface {
-	InBand(c dataset.Config) bool
+	BandWalk() func(dataset.Config) bool
 }
 
 // Advisor wraps a fitted runtime-prediction model and answers STQ/BQ.
@@ -153,10 +153,10 @@ const (
 // Recommend answers a query for one problem size and objective by sweeping
 // the candidate grid and returning the configuration minimizing the
 // predicted objective. An optional Oracle prunes infeasible configurations.
-// Pruning needs only each configuration's ok, so an oracle with an InBand
-// method (SimOracle) is asked InBand, which gives TrueTime's decisions but
-// computes seconds only near a band edge; any other Oracle is asked
-// TrueTime.
+// Pruning needs only each configuration's ok, so an oracle with a BandWalk
+// method (SimOracle) is asked through one walk per query, which gives
+// TrueTime's decisions but computes seconds only near a band edge; any
+// other Oracle is asked TrueTime.
 //
 // The sweep predicts first. The grid must pass the bundle's checkGrid rule
 // (both axes non-empty, positive and strictly increasing); a grid that does
@@ -168,9 +168,9 @@ const (
 // configuration the oracle refuses.
 //
 // Tie-breaking is deterministic: the grid is enumerated in its stable order
-// (Grid.Configs enumerates sorted nodes × sorted tiles) and the walk's sort
-// is stable, so among equal values the FIRST configuration in grid order
-// wins. Two processes holding the same fitted model — e.g. one that trained
+// (Grid.Configs enumerates sorted nodes × sorted tiles) and the walk
+// orders equal values by grid index, so among equal values the FIRST
+// configuration in grid order wins. Two processes holding the same fitted model — e.g. one that trained
 // it and one that loaded its artifact — therefore return identical
 // recommendations.
 func (a *Advisor) Recommend(p dataset.Problem, obj Objective, oracle Oracle) (Recommendation, error) {
@@ -201,16 +201,64 @@ func choose(p dataset.Problem, obj Objective, cfgs []dataset.Config, preds []flo
 			order = append(order, i)
 		}
 	}
-	// A stable sort keeps equal values in grid order: the first minimum
-	// in grid order wins.
-	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(vals[x], vals[y]) })
+	// The walk visits configurations in (value, grid index) order, the
+	// order a stable sort by value gives, so the first minimum in grid
+	// order wins. It usually stops after a few dozen, so it pops them from
+	// a heap instead of sorting them all.
+	h := walkOrder{vals: vals, idx: order}
+	h.init()
 	keep := keepFunc(oracle)
-	for _, i := range order {
+	for len(h.idx) > 0 {
+		i := h.pop()
 		if keep == nil || keep(cfgs[i]) {
 			return Recommendation{Problem: p, Objective: obj, Config: cfgs[i], PredTime: preds[i], PredValue: vals[i]}, nil
 		}
 	}
 	return Recommendation{}, fmt.Errorf("guide: no feasible configurations for %v", p)
+}
+
+// walkOrder is a binary min-heap of grid indices keyed by (vals[i], i).
+// The keys are distinct and vals holds no NaN, so popping it gives a stable
+// sort's order by value.
+type walkOrder struct {
+	vals []float64
+	idx  []int
+}
+
+func (h *walkOrder) less(a, b int) bool {
+	return h.vals[a] < h.vals[b] || (h.vals[a] == h.vals[b] && a < b)
+}
+
+func (h *walkOrder) init() {
+	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// pop removes and returns the least index.
+func (h *walkOrder) pop() int {
+	top, n := h.idx[0], len(h.idx)-1
+	h.idx[0] = h.idx[n]
+	h.idx = h.idx[:n]
+	h.down(0)
+	return top
+}
+
+func (h *walkOrder) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h.idx) {
+			return
+		}
+		if r := m + 1; r < len(h.idx) && h.less(h.idx[r], h.idx[m]) {
+			m = r
+		}
+		if !h.less(h.idx[m], h.idx[i]) {
+			return
+		}
+		h.idx[i], h.idx[m] = h.idx[m], h.idx[i]
+		i = m
+	}
 }
 
 // predictGrid predicts every configuration of cfgs, which is a.Grid's
@@ -241,14 +289,14 @@ func floatAxis(xs []int) []float64 {
 	return out
 }
 
-// keepFunc returns the oracle's pruning decision: InBand when the oracle has
-// it, TrueTime's ok otherwise, nil for no oracle.
+// keepFunc returns the oracle's pruning decision for one walk: a BandWalk
+// when the oracle has it, TrueTime's ok otherwise, nil for no oracle.
 func keepFunc(oracle Oracle) func(dataset.Config) bool {
 	switch o := oracle.(type) {
 	case nil:
 		return nil
 	case bandOracle:
-		return o.InBand
+		return o.BandWalk()
 	default:
 		return func(c dataset.Config) bool {
 			_, ok := o.TrueTime(c)

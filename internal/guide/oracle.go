@@ -9,8 +9,9 @@ import (
 // SimOracle answers TrueTime by running the CCSD cost model deterministically
 // (noise-free mean time). This is the ground truth the datasets are sampled
 // from, so it provides a clean reference optimum for STQ/BQ evaluation. Its
-// InBand gives the same decisions as TrueTime's ok but computes the seconds
-// only for configurations near a band edge; Advisor.Recommend uses it.
+// BandWalk gives the same decisions as TrueTime's ok but computes the
+// seconds only for configurations near a band edge; Advisor.Recommend walks
+// the grid with it.
 //
 // It enforces the same "typical use" runtime band as dataset generation: a
 // configuration whose iteration runs faster than MinSeconds or slower than
@@ -40,7 +41,7 @@ func NewSimOracleBand(spec machine.Spec, minSec, maxSec float64) *SimOracle {
 
 // TrueTime returns the deterministic simulated iteration time, or false if
 // the configuration is infeasible or outside the typical-use runtime band.
-// It always runs the exact cost model; InBand answers the ok alone faster.
+// It always runs the exact cost model; BandWalk answers the ok alone faster.
 func (o *SimOracle) TrueTime(c dataset.Config) (float64, bool) {
 	secs, err := ccsd.Seconds(o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, o.opts)
 	if err != nil {
@@ -56,17 +57,49 @@ func (o *SimOracle) TrueTime(c dataset.Config) (float64, bool) {
 }
 
 // InBand reports TrueTime's ok for c without computing the seconds unless
-// it must. It brackets the time with ccsd.SecondsBounds, which skips the
-// list scheduler, and decides from the interval when it lies wholly inside
-// or wholly outside the band; only an interval that straddles a band edge
-// falls back to TrueTime. The decisions equal TrueTime's, bit for bit:
-// memory-infeasible configurations are out of band, and a non-positive
-// MinSeconds or MaxSeconds disables that side.
+// it must. It is one BandWalk asked once; see BandWalk for how it decides.
 func (o *SimOracle) InBand(c dataset.Config) bool {
-	lo, hi, err := ccsd.SecondsBounds(o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, o.opts)
-	if err != nil {
+	return o.BandWalk()(c)
+}
+
+// BandWalk returns a function that reports TrueTime's ok for each
+// configuration it is asked about, for one walk over a grid. It brackets the
+// time with ccsd.TileBounds, which skips the list scheduler, and decides
+// from the interval when it lies wholly inside or wholly outside the band;
+// only an interval that straddles a band edge falls back to TrueTime. The
+// decisions equal TrueTime's, bit for bit: memory-infeasible configurations
+// are out of band, and a non-positive MinSeconds or MaxSeconds disables that
+// side.
+//
+// The walk keeps the TileBounds of every (O, V, tile) it has met, so a tile
+// is summarized once however many node counts are asked at it. It is not
+// safe for concurrent use; each walk is used by one goroutine.
+func (o *SimOracle) BandWalk() func(dataset.Config) bool {
+	w := &bandWalk{o: o}
+	return w.inBand
+}
+
+// bandWalk is one BandWalk's state: the tile summaries met so far, found by
+// a linear scan (a walk over one problem's grid meets at most one per tile
+// size).
+type bandWalk struct {
+	o     *SimOracle
+	tiles []walkTile
+}
+
+// walkTile is one tile summary of a walk, keyed by (O, V, tile).
+type walkTile struct {
+	o, v, tile int
+	bounds     *ccsd.TileBounds
+}
+
+func (w *bandWalk) inBand(c dataset.Config) bool {
+	b := w.tileBounds(c)
+	if !b.Feasible(c.Nodes) {
 		return false
 	}
+	lo, hi, _ := b.Seconds(c.Nodes) // errors only when infeasible
+	o := w.o
 	minOn, maxOn := o.MinSeconds > 0, o.MaxSeconds > 0
 	if (minOn && hi < o.MinSeconds) || (maxOn && lo > o.MaxSeconds) {
 		return false
@@ -76,6 +109,19 @@ func (o *SimOracle) InBand(c dataset.Config) bool {
 	}
 	_, ok := o.TrueTime(c)
 	return ok
+}
+
+// tileBounds returns the walk's summary of c's (O, V, tile), building it on
+// first use.
+func (w *bandWalk) tileBounds(c dataset.Config) *ccsd.TileBounds {
+	for _, t := range w.tiles {
+		if t.o == c.O && t.v == c.V && t.tile == c.TileSize {
+			return t.bounds
+		}
+	}
+	b := ccsd.NewTileBounds(w.o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, w.o.opts)
+	w.tiles = append(w.tiles, walkTile{o: c.O, v: c.V, tile: c.TileSize, bounds: b})
+	return b
 }
 
 // DatasetOracle answers TrueTime by looking up measured records. It is used

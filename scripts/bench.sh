@@ -34,7 +34,7 @@ if [[ "${1:-}" == "compare" ]]; then
     shift 2
   fi
 fi
-pattern="${1:-BenchmarkTable2_GBTrainPredict|BenchmarkFigure1_AuroraModels|BenchmarkAblation_SplitterEngine|BenchmarkAblation_HistTree|BenchmarkAblation_KernelGram|BenchmarkAblation_SPDSolve|BenchmarkRouter_MixedFleet|BenchmarkProxy_Overhead|BenchmarkRetrain_HotSwap|BenchmarkOverload_ShedVsServe|BenchmarkAdvisor_Recommend|BenchmarkService_Recommend|BenchmarkGBPredictGrid|BenchmarkDecodeFleet}"
+pattern="${1:-BenchmarkTable2_GBTrainPredict|BenchmarkFigure1_AuroraModels|BenchmarkAblation_SplitterEngine|BenchmarkAblation_HistTree|BenchmarkAblation_KernelGram|BenchmarkAblation_SPDSolve|BenchmarkRouter_MixedFleet|BenchmarkProxy_Overhead|BenchmarkRetrain_HotSwap|BenchmarkOverload_ShedVsServe|BenchmarkAdvisor_Recommend|BenchmarkService_Recommend|BenchmarkOracleBandSweep|BenchmarkGBPredictGrid|BenchmarkDecodeFleet}"
 
 # Snapshot the latest prior record BEFORE writing the new one (-V so a
 # tenth same-day rerun _10 sorts after _9, not before _2).
@@ -49,8 +49,8 @@ done
 
 # BenchmarkProxy_Overhead and BenchmarkRetrain_HotSwap live in cmd/parcost,
 # BenchmarkOverload_ShedVsServe in internal/admission,
-# BenchmarkAdvisor_Recommend, BenchmarkService_Recommend and
-# BenchmarkDecodeFleet in internal/guide,
+# BenchmarkAdvisor_Recommend, BenchmarkService_Recommend,
+# BenchmarkOracleBandSweep and BenchmarkDecodeFleet in internal/guide,
 # BenchmarkGBPredictGrid in internal/ml/ensemble; the paper tables in the
 # root. The $(...) capture
 # would otherwise swallow a compile failure or benchmark panic into an
