@@ -197,7 +197,7 @@ func TestServeAndRetrainRoutersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	serve, _, err := loadFleetRouter(path, guide.NewAdmissionController(admission.ControllerConfig{}),
-		guide.WithCacheSize(guide.DefaultCacheSize), guide.WithCacheBytes(0), guide.WithTTL(0))
+		guide.WithCacheSize(guide.DefaultCacheSize), guide.WithTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,7 @@ func runServe(args []string) error {
 	var (
 		model   = fs.String("model", "", "trained artifact: fleet bundle or single advisor (required; from `parcost train`)")
 		addr    = fs.String("addr", ":8080", "listen address")
-		cache   = fs.Int("cache", guide.DefaultCacheSize, "sweep-cache entries per shard (0 removes the entry bound)")
-		cacheMB = fs.Int("cache-mb", 0, "sweep-cache byte budget per shard, in MiB (0 = no byte bound)")
+		cache   = fs.Int("cache", guide.DefaultCacheSize, "sweep-cache entries per shard (0 disables the cache)")
 		ttl     = fs.Duration("ttl", 0, "sweep-cache entry TTL, e.g. 30m (0 = no expiry)")
 		warmset = fs.String("warmset", "", "warm-set file: pre-sweep its keys at startup, save the hottest keys on shutdown")
 		drain   = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout on SIGINT/SIGTERM")
@@ -45,15 +44,15 @@ func runServe(args []string) error {
 	if *model == "" {
 		return fmt.Errorf("-model is required")
 	}
-	if *cache < 0 || *cacheMB < 0 || *ttl < 0 || *drain <= 0 {
-		return fmt.Errorf("-cache, -cache-mb, and -ttl must be non-negative and -drain positive")
+	if *cache < 0 || *ttl < 0 || *drain <= 0 {
+		return fmt.Errorf("-cache and -ttl must be non-negative and -drain positive")
 	}
 	adm, err := admCfg()
 	if err != nil {
 		return err
 	}
 	router, _, err := loadFleetRouter(*model, adm,
-		guide.WithCacheSize(*cache), guide.WithCacheBytes(int64(*cacheMB)<<20), guide.WithTTL(*ttl))
+		guide.WithCacheSize(*cache), guide.WithTTL(*ttl))
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,8 @@
 package ccsd
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"strings"
@@ -11,14 +13,14 @@ import (
 	"parcost/internal/rng"
 )
 
-// checkBounds fails t unless SecondsBounds errors exactly when Seconds does
-// and otherwise brackets the noise-free Seconds.
+// checkBounds fails t unless a Tile's Bounds errors exactly when Seconds
+// does and otherwise brackets Seconds.
 func checkBounds(t *testing.T, spec machine.Spec, p Problem, tile, nodes int, opts Options) {
 	t.Helper()
 	secs, err := Seconds(spec, p, tile, nodes, opts)
-	lo, hi, berr := SecondsBounds(spec, p, tile, nodes, opts)
+	lo, hi, berr := NewTile(spec, p, tile, opts).Bounds(nodes)
 	if (err != nil) != (berr != nil) {
-		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: Seconds err %v, SecondsBounds err %v",
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: Seconds err %v, Bounds err %v",
 			spec.Name, p, tile, nodes, opts.ExactBlockCap, err, berr)
 	}
 	if err != nil {
@@ -50,49 +52,55 @@ func TestSecondsBoundsBracketSeconds(t *testing.T) {
 	}
 }
 
-// TestSecondsBoundsIgnoreNoise pins that the bounds are on the noise-free
-// time: a noise source in opts changes neither bound.
-func TestSecondsBoundsIgnoreNoise(t *testing.T) {
-	spec := machine.Frontier()
-	p := Problem{O: 146, V: 1096}
-	lo, hi, err := SecondsBounds(spec, p, 80, 200, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nlo, nhi, err := SecondsBounds(spec, p, 80, 200, Options{Noise: rng.New(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != nlo || hi != nhi {
-		t.Fatalf("noise moved the bounds: [%v, %v] vs [%v, %v]", lo, hi, nlo, nhi)
-	}
+// breakdownDigest is the sha256 of every float of a Simulate result, as
+// TestGoldenOracleDigest hashes it.
+func breakdownDigest(bd Breakdown, err error) string {
+	h := sha256.New()
+	hashBreakdown(h, bd, err)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// checkTileBounds fails t unless b, a TileBounds of (spec, p, tile, opts),
-// gives at nodes the same bits as a fresh SecondsBounds, and errors exactly
-// when it does, with the same text.
-func checkTileBounds(t *testing.T, b *TileBounds, spec machine.Spec, p Problem, tile, nodes int, opts Options) {
+// checkTile fails t unless b, a Tile of (spec, p, tile, opts) that may have
+// been asked about other node counts, gives at nodes the same Bounds and
+// Simulate bits as a fresh NewTile, errors exactly when it does, with the
+// same text, and brackets its own Simulate's seconds.
+func checkTile(t *testing.T, b *Tile, spec machine.Spec, p Problem, tile, nodes int, opts Options) {
 	t.Helper()
-	lo, hi, err := b.Seconds(nodes)
-	wlo, whi, werr := SecondsBounds(spec, p, tile, nodes, opts)
+	fresh := NewTile(spec, p, tile, opts)
+	lo, hi, err := b.Bounds(nodes)
+	wlo, whi, werr := fresh.Bounds(nodes)
 	if fmt.Sprint(err) != fmt.Sprint(werr) {
-		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: TileBounds err %v, SecondsBounds err %v",
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: Bounds err %v, fresh Tile's %v",
 			spec.Name, p, tile, nodes, opts.ExactBlockCap, err, werr)
 	}
 	if b.Feasible(nodes) != (werr == nil) {
-		t.Fatalf("%s %+v tile=%d nodes=%d: Feasible %v, SecondsBounds err %v",
+		t.Fatalf("%s %+v tile=%d nodes=%d: Feasible %v, fresh Bounds err %v",
 			spec.Name, p, tile, nodes, b.Feasible(nodes), werr)
 	}
 	if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) {
-		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: TileBounds [%v, %v], SecondsBounds [%v, %v]",
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: Bounds [%v, %v], fresh Tile's [%v, %v]",
 			spec.Name, p, tile, nodes, opts.ExactBlockCap, lo, hi, wlo, whi)
+	}
+	bd, serr := b.Simulate(nodes)
+	wbd, wserr := fresh.Simulate(nodes)
+	if fmt.Sprint(serr) != fmt.Sprint(werr) || fmt.Sprint(wserr) != fmt.Sprint(werr) {
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: Simulate err %v, fresh Tile's %v, Bounds err %v",
+			spec.Name, p, tile, nodes, opts.ExactBlockCap, serr, wserr, werr)
+	}
+	if breakdownDigest(bd, serr) != breakdownDigest(wbd, wserr) {
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: Simulate %+v, fresh Tile's %+v",
+			spec.Name, p, tile, nodes, opts.ExactBlockCap, bd, wbd)
+	}
+	if serr == nil && !(lo <= bd.Seconds && bd.Seconds <= hi) {
+		t.Fatalf("%s %+v tile=%d nodes=%d cap=%d: Simulate %v outside Bounds [%v, %v]",
+			spec.Name, p, tile, nodes, opts.ExactBlockCap, bd.Seconds, lo, hi)
 	}
 }
 
-// TestTileBoundsMatchSecondsBounds builds one TileBounds per seeded
-// (machine, O, V, tile, block cap) and asks it at every DefaultGrid node
-// count in turn, and at two non-positive ones, against a fresh
-// SecondsBounds each time. Tiles come from DefaultGrid and from off it
+// TestTileBoundsMatchSecondsBounds builds one Tile per seeded (machine, O,
+// V, tile, block cap) and asks it for Bounds and Simulate at every
+// DefaultGrid node count in turn, and at two non-positive ones, against a
+// fresh Tile each time. Tiles come from DefaultGrid and from off it
 // (remainder tiles on either axis, and tiles whose working set does not fit
 // rank memory); some problems are large enough that the distributed T2 does
 // not fit at the smaller node counts; the caps move terms to the aggregate
@@ -116,9 +124,9 @@ func TestTileBoundsMatchSecondsBounds(t *testing.T) {
 			tile = 1 + r.Intn(260)
 		}
 		opts := Options{ExactBlockCap: []int{0, 64, 512}[i%3]}
-		b := NewTileBounds(spec, p, tile, opts)
+		b := NewTile(spec, p, tile, opts)
 		for _, n := range nodes {
-			checkTileBounds(t, b, spec, p, tile, n, opts)
+			checkTile(t, b, spec, p, tile, n, opts)
 			if n <= 0 {
 				continue
 			}
@@ -162,10 +170,10 @@ func TestTileBoundsMatchSecondsBounds(t *testing.T) {
 }
 
 // FuzzSecondsBounds checks, over (machine, O, V, tile, nodes, nodes2), that
-// SecondsBounds errors exactly when Simulate does and otherwise brackets
-// the noise-free Seconds, at both node counts; and that one TileBounds,
-// asked at nodes and then at nodes2, gives a fresh SecondsBounds' bits and
-// errors each time. O and V are folded into [1, 400] and [1, 2000] (the cost
+// a Tile's Bounds errors exactly when Simulate does and otherwise brackets
+// Seconds, at both node counts; and that one Tile, asked at nodes and then
+// at nodes2, gives a fresh Tile's Bounds and Simulate bits and errors each
+// time. O and V are folded into [1, 400] and [1, 2000] (the cost
 // model needs non-empty orbital ranges); tile and the node counts keep
 // their sign so non-positive values reach the error path. The corpus under
 // testdata/fuzz seeds every regime: list-scheduled terms with blocks ≤ ranks
@@ -179,10 +187,10 @@ func FuzzSecondsBounds(f *testing.F) {
 		}
 		p := Problem{O: 1 + int(uint(o)%400), V: 1 + int(uint(v)%2000)}
 		tile %= 512
-		b := NewTileBounds(spec, p, tile, Options{})
+		b := NewTile(spec, p, tile, Options{})
 		for _, n := range []int{nodes % 1024, nodes2 % 1024} {
 			checkBounds(t, spec, p, tile, n, Options{})
-			checkTileBounds(t, b, spec, p, tile, n, Options{})
+			checkTile(t, b, spec, p, tile, n, Options{})
 		}
 	})
 }

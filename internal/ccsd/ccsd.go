@@ -25,27 +25,28 @@
 // are still emitted in block order, so the result is bit-identical to
 // costing every block.
 //
-// SecondsBounds brackets the noise-free iteration time without running the
-// list scheduler, for callers that only need to know whether the time falls
-// in a band. Each list-scheduled term with more blocks than ranks is bounded
-// by Graham's list-scheduling bounds, max(pₘₐₓ, Σ/r) ≤ makespan ≤ Σ/r + pₘₐₓ,
-// where Σ and pₘₐₓ come from the per-class durations times the class block
-// counts; a term with no more blocks than ranks has makespan pₘₐₓ exactly,
-// and a term on the aggregate model is costed exactly as Simulate costs it.
-// Communication uses the closed-form Σ count·bytes, since CommTime is
-// monotone in bytes. The exact path's floats (rank loads and the comm total,
-// each a sum of at most ExactBlockCap terms) differ from the real sums by
-// rounding, so the list-scheduled bounds are widened by a relative slack
-// derived from the block cap (see boundSlack). Seconds itself stays exact:
-// it still schedules every block.
+// A Tile, built by NewTile once per (machine, problem, tile), is the only
+// way a tile is costed. It holds everything about the five terms that does
+// not depend on the node count: each term's block count and flops, and
+// either its per-class block costs (a list-scheduled term) or its block
+// duration statistics (a term on the aggregate model above the block cap).
+// Three finishers take it to a node count: Feasible, Simulate and Bounds.
+// Simulate is the package's Simulate with the tile already costed, bit for
+// bit; a caller that asks about many node counts at a few tiles, like the
+// advisor's oracle walk over a grid, keeps one Tile per tile.
 //
-// None of Σ, pₘₐₓ, the comm bytes or the aggregate model's block statistics
-// depends on the node count, so SecondsBounds is split in two: a TileBounds,
-// built once per (machine, problem, tile), holds them, and its Seconds
-// method does only the rank-dependent rest. SecondsBounds is one TileBounds
-// used once; a caller that asks about many node counts at a few tiles, like
-// the advisor's oracle walk over a grid, keeps one TileBounds per tile and
-// gets the same bits.
+// Bounds brackets the iteration time without running the list scheduler,
+// for callers that only need to know whether the time falls in a band. Each
+// list-scheduled term with more blocks than ranks is bounded by Graham's
+// list-scheduling bounds, max(pₘₐₓ, Σ/r) ≤ makespan ≤ Σ/r + pₘₐₓ, where Σ
+// and pₘₐₓ come from the per-class durations times the class block counts;
+// a term with no more blocks than ranks has makespan pₘₐₓ exactly, and a
+// term on the aggregate model is costed exactly as Simulate costs it.
+// Communication uses the closed-form Σ count·bytes, since CommTime is
+// monotone in bytes. Simulate's floats (rank loads and the comm total, each
+// a sum of at most ExactBlockCap terms) differ from the real sums by
+// rounding, so the list-scheduled bounds are widened by a relative slack
+// derived from the block cap (see boundSlack).
 package ccsd
 
 import (
@@ -53,7 +54,6 @@ import (
 	"math"
 
 	"parcost/internal/machine"
-	"parcost/internal/rng"
 	"parcost/internal/simsched"
 	"parcost/internal/tensor"
 )
@@ -169,12 +169,9 @@ func (t Term) blockSpace() tensor.Space {
 // Options controls a CCSD iteration simulation.
 type Options struct {
 	// ExactBlockCap is the largest block count simulated with the exact
-	// discrete-event/list scheduler; above it the aggregate makespan model
-	// is used. Zero selects a sensible default.
+	// list scheduler; above it the aggregate makespan model is used. Zero
+	// selects a sensible default.
 	ExactBlockCap int
-	// Noise, when non-nil, applies multiplicative run-to-run noise drawn
-	// from the machine's NoiseRel. Nil yields the deterministic mean time.
-	Noise *rng.Source
 }
 
 func (o Options) cap() int {
@@ -252,28 +249,15 @@ func checkFeasible(spec machine.Spec, p Problem, tile, nodes int) error {
 	return nil
 }
 
-// Simulate computes the wall time of one CCSD iteration for the given
-// configuration on the given machine. It returns an error if the
-// configuration is memory-infeasible.
+// Simulate computes the noise-free wall time of one CCSD iteration for the
+// given configuration on the given machine. It returns an error if the
+// configuration is memory-infeasible, before costing any term. Otherwise it
+// is NewTile(spec, p, tile, opts).Simulate(nodes).
 func Simulate(spec machine.Spec, p Problem, tile, nodes int, opts Options) (Breakdown, error) {
 	if err := checkFeasible(spec, p, tile, nodes); err != nil {
 		return Breakdown{}, err
 	}
-	ranks := spec.Ranks(nodes)
-	bd := Breakdown{Config: spec, Problem: p, Tile: tile, Nodes: nodes, Ranks: ranks}
-	for _, term := range Terms(p, tile) {
-		bd.Terms = append(bd.Terms, simulateTerm(spec, term, tile, nodes, ranks, opts))
-	}
-	total := iterationSeconds(spec, nodes, bd.Terms)
-	bd.SyncOverhead = spec.SyncOverhead(nodes)
-	// Per-rank tile working-set memory estimate.
-	block := float64(tile) * float64(tile) * float64(tile) * float64(tile) * bytesPerElem
-	bd.MemPerRank = 6 * block
-	if opts.Noise != nil && spec.NoiseRel > 0 {
-		total *= opts.Noise.NoiseFactor(spec.NoiseRel)
-	}
-	bd.Seconds = total
-	return bd, nil
+	return NewTile(spec, p, tile, opts).Simulate(nodes)
 }
 
 // iterationSeconds sums the terms' exposed compute and communication into
@@ -294,110 +278,151 @@ func iterationSeconds(spec machine.Spec, nodes int, terms []TermCost) float64 {
 	return total + spec.SyncOverhead(nodes)
 }
 
-// SecondsBounds returns lo ≤ Seconds(spec, p, tile, nodes, opts) ≤ hi for
-// the noise-free iteration time (opts.Noise is ignored) without running the
-// list scheduler. It errors exactly when Simulate does. It is
-// NewTileBounds(spec, p, tile, opts).Seconds(nodes); a caller that bounds
-// several node counts at one tile should keep the TileBounds.
-func SecondsBounds(spec machine.Spec, p Problem, tile, nodes int, opts Options) (lo, hi float64, err error) {
-	return NewTileBounds(spec, p, tile, opts).Seconds(nodes)
-}
-
 // numTerms is the number of contractions Terms returns.
 const numTerms = 5
 
-// TileBounds is the node-independent part of SecondsBounds for one
-// (machine, problem, tile): each term's block count, flops and block costs,
-// summed once. Seconds finishes the bounds for a node count.
-type TileBounds struct {
-	spec   machine.Spec
-	p      Problem
-	tile   int
-	tileOK bool    // tile > 0 and its working set fits in rank memory
-	slack  float64 // boundSlack at the options' block cap
-	terms  [numTerms]termBound
+// Tile is the node-independent cost of one (machine, problem, tile): each
+// term's block count, flops and block costs, computed once. Feasible,
+// Simulate and Bounds finish it for a node count. A Tile is read-only once
+// built, so its finishers may run concurrently.
+type Tile struct {
+	spec    machine.Spec
+	p       Problem
+	tile    int
+	working float64 // the tile working set per rank (Breakdown.MemPerRank)
+	tileOK  bool    // tile > 0 and its working set fits in rank memory
+	slack   float64 // boundSlack at the options' block cap
+	terms   [numTerms]tileTerm
 }
 
-// termBound is one term's node-independent summary. A list-scheduled term
-// (exact) keeps the total work, communication bytes and longest block over
-// its tile-size classes, summed in class order; a term on the aggregate
-// model keeps the block duration statistics and bytes per block that
-// aggregate finishes for a rank count.
-type termBound struct {
+// tileTerm is one term's node-independent cost. A list-scheduled term
+// (exact) keeps its block space and per-class block costs, which Simulate
+// lays out in block order, and the total work, communication bytes and
+// longest block over its classes, summed in class order, which Bounds
+// uses; a term on the aggregate model keeps the block duration statistics
+// and bytes per block that aggregate finishes for a rank count.
+type tileTerm struct {
 	kind   TermKind
 	blocks float64
 	flops  float64
 	exact  bool
 
-	work, bytes, pmax float64 // list-scheduled
+	space             tensor.Space // list-scheduled
+	classes           []blockClass
+	work, bytes, pmax float64
 
 	meanDur, std, maxDur, commBytesPerBlock float64 // aggregate
 }
 
-// NewTileBounds summarizes the CCSD terms of p at tile size tile once, for
-// SecondsBounds at any node count. The terms are costed only when the tile's
-// working set fits in rank memory: otherwise every node count is
-// infeasible. p must have positive O and V, as Terms requires.
-func NewTileBounds(spec machine.Spec, p Problem, tile int, opts Options) *TileBounds {
-	b := &TileBounds{spec: spec, p: p, tile: tile, slack: boundSlack(opts.cap())}
-	_, fits := tileWorkingSet(spec, tile)
-	if b.tileOK = tile > 0 && fits; !b.tileOK {
-		return b
-	}
-	for i, term := range Terms(p, tile) {
-		b.terms[i] = newTermBound(spec, term, tile, opts)
-	}
-	return b
+// NewTile costs the CCSD terms of p at tile size tile once, for any node
+// count. The terms are costed only when the tile's working set fits in
+// rank memory: otherwise every node count is infeasible. p must have
+// positive O and V, as Terms requires.
+func NewTile(spec machine.Spec, p Problem, tile int, opts Options) *Tile {
+	t := new(Tile)
+	t.init(spec, p, tile, opts)
+	return t
 }
 
-// newTermBound summarizes one term, on the aggregate model above the block
-// cap as simulateTerm costs it.
-func newTermBound(spec machine.Spec, term Term, tile int, opts Options) termBound {
+// init builds t as NewTile documents. NewTile is small enough to inline, so
+// a caller whose Tile does not outlive it, like Simulate, keeps it on the
+// stack.
+func (t *Tile) init(spec machine.Spec, p Problem, tile int, opts Options) {
+	*t = Tile{spec: spec, p: p, tile: tile, slack: boundSlack(opts.cap())}
+	working, fits := tileWorkingSet(spec, tile)
+	if t.tileOK = tile > 0 && fits; !t.tileOK {
+		return
+	}
+	t.working = working
+	for i, term := range Terms(p, tile) {
+		t.terms[i] = newTileTerm(spec, term, tile, opts)
+	}
+}
+
+// newTileTerm costs one term, on the aggregate model above the block cap.
+func newTileTerm(spec machine.Spec, term Term, tile int, opts Options) tileTerm {
 	space := term.blockSpace()
 	blocks := space.Blocks()
 	if blocks > float64(opts.cap()) {
-		return aggregateBound(spec, term, tile, blocks)
+		return aggregateTerm(spec, term, tile, blocks)
 	}
-	tb := termBound{kind: term.Kind, blocks: blocks, flops: term.Flops(), exact: true}
-	for _, c := range classCosts(spec, term, tile, space) {
+	tt := tileTerm{kind: term.Kind, blocks: blocks, flops: term.Flops(), exact: true,
+		space: space, classes: classCosts(spec, term, tile, space)}
+	for _, c := range tt.classes {
 		if c.blocks == 0 {
 			continue
 		}
-		tb.work += c.blocks * c.dur
-		tb.bytes += c.blocks * c.commBytes
-		tb.pmax = math.Max(tb.pmax, c.dur)
+		tt.work += c.blocks * c.dur
+		tt.bytes += c.blocks * c.commBytes
+		tt.pmax = math.Max(tt.pmax, c.dur)
 	}
-	return tb
+	return tt
 }
 
 // Feasible reports Feasible(spec, p, tile, nodes)'s ok without building its
 // reason text.
-func (b *TileBounds) Feasible(nodes int) bool {
-	if !b.tileOK || nodes <= 0 {
+func (t *Tile) Feasible(nodes int) bool {
+	if !t.tileOK || nodes <= 0 {
 		return false
 	}
-	_, ok := t2Share(b.spec, b.p, nodes)
+	_, ok := t2Share(t.spec, t.p, nodes)
 	return ok
 }
 
-// Seconds returns SecondsBounds(spec, p, tile, nodes, opts) for the
-// TileBounds' machine, problem, tile and options, bit for bit, and the same
+// Simulate returns the package Simulate's breakdown for the Tile's
+// machine, problem, tile and options at nodes, bit for bit, and the same
 // error.
-func (b *TileBounds) Seconds(nodes int) (lo, hi float64, err error) {
-	if !b.Feasible(nodes) {
-		return 0, 0, checkFeasible(b.spec, b.p, b.tile, nodes)
+func (t *Tile) Simulate(nodes int) (Breakdown, error) {
+	if !t.Feasible(nodes) {
+		return Breakdown{}, checkFeasible(t.spec, t.p, t.tile, nodes)
 	}
-	ranks := b.spec.Ranks(nodes)
-	var los, his [numTerms]TermCost
-	for i := range b.terms {
-		los[i], his[i] = b.terms[i].bounds(b.spec, nodes, ranks, b.slack)
+	ranks := t.spec.Ranks(nodes)
+	bd := Breakdown{Config: t.spec, Problem: t.p, Tile: t.tile, Nodes: nodes, Ranks: ranks,
+		Terms: make([]TermCost, numTerms), MemPerRank: t.working}
+	for i := range t.terms {
+		bd.Terms[i] = t.terms[i].simulate(t.spec, nodes, ranks)
 	}
-	return iterationSeconds(b.spec, nodes, los[:]), iterationSeconds(b.spec, nodes, his[:]), nil
+	bd.Seconds = iterationSeconds(t.spec, nodes, bd.Terms)
+	bd.SyncOverhead = t.spec.SyncOverhead(nodes)
+	return bd, nil
 }
 
-// bounds returns lower and upper bounds on simulateTerm's Compute and Comm
-// for the term at a rank count; the other fields equal simulateTerm's.
-func (t *termBound) bounds(spec machine.Spec, nodes, ranks int, slack float64) (lo, hi TermCost) {
+// Bounds returns lo ≤ Simulate(nodes).Seconds ≤ hi without running the
+// list scheduler, and errors exactly when Simulate does, with the same
+// error.
+func (t *Tile) Bounds(nodes int) (lo, hi float64, err error) {
+	if !t.Feasible(nodes) {
+		return 0, 0, checkFeasible(t.spec, t.p, t.tile, nodes)
+	}
+	ranks := t.spec.Ranks(nodes)
+	var los, his [numTerms]TermCost
+	for i := range t.terms {
+		los[i], his[i] = t.terms[i].bounds(t.spec, nodes, ranks, t.slack)
+	}
+	return iterationSeconds(t.spec, nodes, los[:]), iterationSeconds(t.spec, nodes, his[:]), nil
+}
+
+// simulate costs the term on a nodes-node job of ranks ranks. A
+// list-scheduled term's per-block durations and communication sum follow
+// block order, which keeps every float equal to costing block by block.
+func (t *tileTerm) simulate(spec machine.Spec, nodes, ranks int) TermCost {
+	if !t.exact {
+		return t.aggregate(spec, nodes, ranks)
+	}
+	durs := make([]float64, 0, int(t.blocks))
+	var commTotal float64
+	_ = t.space.ForEachBlockClass(int(t.blocks), func(c int) {
+		durs = append(durs, t.classes[c].dur)
+		commTotal += t.classes[c].commBytes
+	})
+	return TermCost{Kind: t.kind, Blocks: t.blocks, Flops: t.flops, Exact: true,
+		Compute: simsched.ListMakespan(durs, ranks),
+		Comm:    termComm(spec, commTotal, t.blocks, nodes, ranks)}
+}
+
+// bounds returns lower and upper bounds on simulate's Compute and Comm for
+// the term at a rank count; the other fields equal simulate's.
+func (t *tileTerm) bounds(spec machine.Spec, nodes, ranks int, slack float64) (lo, hi TermCost) {
 	if !t.exact {
 		tc := t.aggregate(spec, nodes, ranks)
 		return tc, tc
@@ -430,34 +455,9 @@ func termComm(spec machine.Spec, bytes, blocks float64, nodes, ranks int) float6
 	return spec.CommTime(bytes/float64(ranks), int(getsPerBlock*blocks/float64(ranks)), nodes)
 }
 
-// simulateTerm costs one contraction term.
-func simulateTerm(spec machine.Spec, term Term, tile, nodes, ranks int, opts Options) TermCost {
-	space := term.blockSpace()
-	blocks := space.Blocks()
-	if blocks > float64(opts.cap()) {
-		tb := aggregateBound(spec, term, tile, blocks)
-		return tb.aggregate(spec, nodes, ranks)
-	}
-	// Exact list scheduling over per-block durations. A block's cost
-	// depends only on its tile-size class, so each class is costed once;
-	// durs and commTotal still follow block order, which keeps every float
-	// equal to costing block by block.
-	tc := TermCost{Kind: term.Kind, Blocks: blocks, Flops: term.Flops(), Exact: true}
-	classes := classCosts(spec, term, tile, space)
-	durs := make([]float64, 0, int(blocks))
-	var commTotal float64
-	_ = space.ForEachBlockClass(opts.cap(), func(c int) {
-		durs = append(durs, classes[c].dur)
-		commTotal += classes[c].commBytes
-	})
-	tc.Compute = simsched.ListMakespan(durs, ranks)
-	tc.Comm = termComm(spec, commTotal, blocks, nodes, ranks)
-	return tc
-}
-
 // boundSlack is the relative slack that widens the bounds' interval over
 // float rounding on a term of at most blockCap blocks. With u = 2⁻⁵³ and
-// n ≤ blockCap, each of simulateTerm's rank loads and its commTotal is a
+// n ≤ blockCap, each of simulate's rank loads and its commTotal is a
 // float sum of at most n non-negative terms, within a factor (1 ± γₙ) of
 // the real sum (γₙ = nu/(1−nu)); the bounds' Σ count·cost sums at most n
 // products, also within γₙ. The greedy argument holds for the float loads:
@@ -471,11 +471,11 @@ func boundSlack(blockCap int) float64 {
 	return 4 * float64(blockCap+2) * 0x1p-53
 }
 
-// aggregateBound summarizes a term's blocks for the aggregate makespan
-// model: the per-block duration statistics and communication bytes, which
-// do not depend on the node count.
-func aggregateBound(spec machine.Spec, term Term, tile int, blocks float64) termBound {
-	tb := termBound{kind: term.Kind, blocks: blocks, flops: term.Flops()}
+// aggregateTerm costs a term's blocks for the aggregate makespan model:
+// the per-block duration statistics and communication bytes, which do not
+// depend on the node count.
+func aggregateTerm(spec machine.Spec, term Term, tile int, blocks float64) tileTerm {
+	tb := tileTerm{kind: term.Kind, blocks: blocks, flops: term.Flops()}
 
 	// Per-block GEMM characteristics. Each block task performs a GEMM whose
 	// flop count is 2 × (external block elements) × (contraction block
@@ -509,8 +509,8 @@ func aggregateBound(spec machine.Spec, term Term, tile int, blocks float64) term
 }
 
 // aggregate costs an aggregate-model term on a nodes-node job of ranks
-// ranks, as Simulate does above the block cap.
-func (t *termBound) aggregate(spec machine.Spec, nodes, ranks int) TermCost {
+// ranks.
+func (t *tileTerm) aggregate(spec machine.Spec, nodes, ranks int) TermCost {
 	return TermCost{Kind: t.kind, Blocks: t.blocks, Flops: t.flops,
 		Compute: simsched.ExpectedMakespan(t.blocks, t.meanDur, t.std, t.maxDur, ranks),
 		Comm:    termComm(spec, t.blocks*t.commBytesPerBlock, t.blocks, nodes, ranks)}

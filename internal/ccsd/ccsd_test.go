@@ -168,6 +168,16 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 	}
 }
 
+// withNoise applies one draw of the machine's run-to-run noise from src to
+// a Seconds result, as Generate does: only when err is nil and the machine
+// is noisy.
+func withNoise(spec machine.Spec, secs float64, err error, src *rng.Source) float64 {
+	if err == nil && spec.NoiseRel > 0 {
+		secs *= src.NoiseFactor(spec.NoiseRel)
+	}
+	return secs
+}
+
 func TestNoiseVariesOutput(t *testing.T) {
 	spec := machine.Frontier()
 	p := Problem{99, 1021}
@@ -175,7 +185,8 @@ func TestNoiseVariesOutput(t *testing.T) {
 	src := rng.New(1)
 	seen := map[float64]bool{}
 	for i := 0; i < 20; i++ {
-		s, _ := Seconds(spec, p, 80, 200, Options{Noise: src})
+		s, err := Seconds(spec, p, 80, 200, Options{})
+		s = withNoise(spec, s, err, src)
 		seen[s] = true
 		// Noise is mean-one with modest spread; stay within a band.
 		if s < base*0.5 || s > base*2 {
@@ -195,7 +206,8 @@ func TestAuroraLessNoisyThanFrontier(t *testing.T) {
 		src := rng.New(7)
 		var vals []float64
 		for i := 0; i < 200; i++ {
-			s, _ := Seconds(spec, pa, 80, 200, Options{Noise: src})
+			s, err := Seconds(spec, pa, 80, 200, Options{})
+			s = withNoise(spec, s, err, src)
 			vals = append(vals, s/base)
 		}
 		var sum, sumSq float64

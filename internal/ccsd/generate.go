@@ -24,8 +24,6 @@ type GenConfig struct {
 	Noise bool
 	// Seed seeds both subsampling and noise.
 	Seed uint64
-	// ExactBlockCap overrides the scheduler crossover (0 = default).
-	ExactBlockCap int
 	// MinSeconds and MaxSeconds bound the "typical use" runtime band: the
 	// paper collected configurations of typical interest, not absurdly
 	// over-provisioned (sub-second) or under-provisioned (multi-hour) runs.
@@ -88,8 +86,7 @@ func Generate(spec machine.Spec, cfg GenConfig) *dataset.Dataset {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				c := candidates[i]
-				secs, err := Seconds(spec, Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes,
-					Options{ExactBlockCap: cfg.ExactBlockCap})
+				secs, err := Seconds(spec, Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, Options{})
 				if err != nil {
 					continue
 				}

@@ -79,7 +79,8 @@ func TestGoldenOracleDigest(t *testing.T) {
 			p := Problem{O: c.O, V: c.V}
 			bd, err := Simulate(spec, p, c.TileSize, c.Nodes, Options{})
 			hashBreakdown(h, bd, err)
-			bd2, err2 := Simulate(spec, p, c.TileSize, c.Nodes, Options{Noise: noise})
+			bd2, err2 := Simulate(spec, p, c.TileSize, c.Nodes, Options{})
+			bd2.Seconds = withNoise(spec, bd2.Seconds, err2, noise)
 			hashBreakdown(h, bd2, err2)
 			if err != nil {
 				continue

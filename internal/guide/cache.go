@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 	"unsafe"
@@ -23,11 +22,9 @@ import (
 //
 // Bounds:
 //
-//   - maxEntries caps the resident entry count. Callers may also bound the
-//     cache in bytes (cache budgets per shard of a fleet), but entries are
-//     fixed-size structs costing the compile-time entryBytes constant, so
-//     newSweepCache folds a byte bound into this one entry cap: the smaller
-//     of the bounds set.
+//   - maxEntries caps the resident entry count. Entries are fixed-size
+//     structs costing the compile-time entryBytes constant, so this cap is
+//     also the cache's byte bound (Stats.Bytes reports the footprint).
 //   - ttl, when positive, expires entries so models retrained in place age
 //     out sweeps computed against the previous model. Expiry is lazy: an
 //     expired entry is dropped when its key is next queried (counted in
@@ -40,9 +37,8 @@ import (
 // with resident-but-expired entries served as explicitly stale answers —
 // while the server is overloaded.
 //
-// A cache with maxEntries == 0 is disabled: every query sweeps. That is the
-// cache with no bound set (WithCacheSize(0) without WithCacheBytes), and
-// one whose byte bound is below entryBytes, which holds no entry.
+// A cache with maxEntries == 0 is disabled: every query sweeps
+// (WithCacheSize(0)).
 type sweepCache struct {
 	maxEntries int
 	ttl        time.Duration
@@ -95,16 +91,9 @@ type inflightCall struct {
 // so this is exact up to the map allowance.
 const entryBytes = int64(unsafe.Sizeof(cacheEntry{})+2*unsafe.Sizeof(Query{})+unsafe.Sizeof(list.Element{})) + 16
 
-// newSweepCache builds a cache with the given bounds (0 leaves a bound
-// unset; with neither set the cache is disabled) sharing the given
-// admission controller.
-func newSweepCache(maxEntries int, maxBytes int64, ttl time.Duration, adm *admission.Controller) *sweepCache {
-	if maxBytes > 0 {
-		byteCap := int(min(maxBytes/entryBytes, int64(math.MaxInt)))
-		if maxEntries == 0 || byteCap < maxEntries {
-			maxEntries = byteCap
-		}
-	}
+// newSweepCache builds a cache of at most maxEntries entries (0 disables
+// it) sharing the given admission controller.
+func newSweepCache(maxEntries int, ttl time.Duration, adm *admission.Controller) *sweepCache {
 	c := &sweepCache{
 		maxEntries: maxEntries,
 		ttl:        ttl,

@@ -46,13 +46,12 @@ func fastAdvisor(v float64) (*Advisor, *countingModel) {
 
 func problemN(i int) dataset.Problem { return dataset.Problem{O: 10 + i, V: 100 + i} }
 
-// TestCacheByteBoundLRUOrder pins size-aware eviction: with a byte budget
-// for exactly two entries, the third distinct key evicts the least recently
-// used, and touching a key protects it.
+// TestCacheByteBoundLRUOrder pins eviction and the byte accounting: a cache
+// of two entries holds 2×entryBytes, the third distinct key evicts the
+// least recently used, and touching a key protects it.
 func TestCacheByteBoundLRUOrder(t *testing.T) {
 	adv, model := fastAdvisor(5)
-	// Entry-count bound removed; only the byte bound governs.
-	svc, err := newTestService(adv, WithCacheSize(0), WithCacheBytes(2*entryBytes))
+	svc, err := newTestService(adv, WithCacheSize(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +63,7 @@ func TestCacheByteBoundLRUOrder(t *testing.T) {
 	}
 	st := svc.CacheStats()
 	if st.Size != 2 {
-		t.Fatalf("size %d under a 2-entry byte budget", st.Size)
+		t.Fatalf("size %d under a 2-entry bound", st.Size)
 	}
 	if st.Bytes != 2*entryBytes {
 		t.Fatalf("bytes %d, want %d", st.Bytes, 2*entryBytes)
@@ -101,36 +100,6 @@ func TestCacheByteBoundLRUOrder(t *testing.T) {
 	}
 	if model.callCount() != calls {
 		t.Fatal("recently-touched key was evicted instead of the LRU one")
-	}
-}
-
-// TestCacheBothBoundsCompose: the tighter of the entry and byte bounds wins.
-func TestCacheBothBoundsCompose(t *testing.T) {
-	adv, _ := fastAdvisor(5)
-	svc, err := newTestService(adv, WithCacheSize(10), WithCacheBytes(3*entryBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := svc.Recommend(problemN(i), ShortestTime); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := svc.CacheStats(); st.Size != 3 {
-		t.Fatalf("size %d, want 3 (byte bound tighter than entry bound)", st.Size)
-	}
-
-	svc, err = newTestService(adv, WithCacheSize(2), WithCacheBytes(100*entryBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := svc.Recommend(problemN(i), ShortestTime); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := svc.CacheStats(); st.Size != 2 {
-		t.Fatalf("size %d, want 2 (entry bound tighter than byte bound)", st.Size)
 	}
 }
 
@@ -242,8 +211,8 @@ func TestCacheTTLExpiredKeysLeaveWarmSet(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledWithByteBoundOnly: WithCacheSize(0) alone still disables
-// caching (the PR 3 contract), but adding a byte bound re-enables it.
+// TestCacheDisabledWithByteBoundOnly: WithCacheSize(0) disables caching
+// and holds no bytes.
 func TestCacheDisabledWithByteBoundOnly(t *testing.T) {
 	adv, model := fastAdvisor(5)
 	svc, err := newTestService(adv, WithCacheSize(0))
@@ -264,12 +233,12 @@ func TestCacheDisabledWithByteBoundOnly(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionUnderRace hammers a byte-bounded, TTL'd cache from many
+// TestCacheEvictionUnderRace hammers a 4-entry, TTL'd cache from many
 // goroutines; CI runs this under -race. Invariants: bounds hold at every
 // snapshot and answers are always correct.
 func TestCacheEvictionUnderRace(t *testing.T) {
 	adv, _ := fastAdvisor(5)
-	svc, err := newTestService(adv, WithCacheSize(0), WithCacheBytes(4*entryBytes), WithTTL(5*time.Millisecond))
+	svc, err := newTestService(adv, WithCacheSize(4), WithTTL(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +272,7 @@ func TestCacheEvictionUnderRace(t *testing.T) {
 				}
 				if st := svc.CacheStats(); st.Size > 4 {
 					mu.Lock()
-					failure = "byte bound violated under concurrency"
+					failure = "entry bound violated under concurrency"
 					mu.Unlock()
 					return
 				}

@@ -31,8 +31,8 @@
 //   - Service wraps one fitted Advisor for concurrent serving. Its cache
 //     engine (the unexported sweepCache) is a bounded LRU of sweep results
 //     keyed by (problem, objective) with coalesced concurrent misses, an
-//     entry-count bound, an approximate-byte bound, and an optional
-//     per-entry TTL so models retrained in place age out stale sweeps.
+//     entry-count bound, and an optional per-entry TTL so models retrained
+//     in place age out stale sweeps.
 //     Behind that cache, a shard whose model lists its split thresholds
 //     (gradient boosting) shares one predicted grid among every problem in
 //     the same cell of the threshold lattice (see gridMemo).

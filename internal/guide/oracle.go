@@ -22,7 +22,6 @@ import (
 // counts instead of always collapsing to the minimum.
 type SimOracle struct {
 	Spec       machine.Spec
-	opts       ccsd.Options
 	MinSeconds float64
 	MaxSeconds float64
 }
@@ -43,62 +42,56 @@ func NewSimOracleBand(spec machine.Spec, minSec, maxSec float64) *SimOracle {
 // the configuration is infeasible or outside the typical-use runtime band.
 // It always runs the exact cost model; BandWalk answers the ok alone faster.
 func (o *SimOracle) TrueTime(c dataset.Config) (float64, bool) {
-	secs, err := ccsd.Seconds(o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, o.opts)
-	if err != nil {
-		return 0, false
-	}
-	if o.MinSeconds > 0 && secs < o.MinSeconds {
-		return 0, false
-	}
-	if o.MaxSeconds > 0 && secs > o.MaxSeconds {
+	secs, err := ccsd.Seconds(o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, ccsd.Options{})
+	if err != nil || !o.withinBand(secs) {
 		return 0, false
 	}
 	return secs, true
 }
 
-// InBand reports TrueTime's ok for c without computing the seconds unless
-// it must. It is one BandWalk asked once; see BandWalk for how it decides.
-func (o *SimOracle) InBand(c dataset.Config) bool {
-	return o.BandWalk()(c)
+// withinBand reports whether an iteration of secs seconds lies in the runtime
+// band; a non-positive MinSeconds or MaxSeconds disables that side.
+func (o *SimOracle) withinBand(secs float64) bool {
+	return !(o.MinSeconds > 0 && secs < o.MinSeconds) && !(o.MaxSeconds > 0 && secs > o.MaxSeconds)
 }
 
 // BandWalk returns a function that reports TrueTime's ok for each
 // configuration it is asked about, for one walk over a grid. It brackets the
-// time with ccsd.TileBounds, which skips the list scheduler, and decides
+// time with ccsd.Tile's Bounds, which skip the list scheduler, and decides
 // from the interval when it lies wholly inside or wholly outside the band;
-// only an interval that straddles a band edge falls back to TrueTime. The
-// decisions equal TrueTime's, bit for bit: memory-infeasible configurations
-// are out of band, and a non-positive MinSeconds or MaxSeconds disables that
-// side.
+// only an interval that straddles a band edge is settled by the exact time,
+// which the same Tile's Simulate finishes. The decisions equal TrueTime's,
+// bit for bit: memory-infeasible configurations are out of band, and a
+// non-positive MinSeconds or MaxSeconds disables that side.
 //
-// The walk keeps the TileBounds of every (O, V, tile) it has met, so a tile
-// is summarized once however many node counts are asked at it. It is not
-// safe for concurrent use; each walk is used by one goroutine.
+// The walk keeps the ccsd.Tile of every (O, V, tile) it has met, so a tile
+// is costed once however many node counts are asked at it. The tiles live
+// only as long as the walk; it is not safe for concurrent use, and each
+// walk is used by one goroutine.
 func (o *SimOracle) BandWalk() func(dataset.Config) bool {
 	w := &bandWalk{o: o}
 	return w.inBand
 }
 
-// bandWalk is one BandWalk's state: the tile summaries met so far, found by
-// a linear scan (a walk over one problem's grid meets at most one per tile
-// size).
+// bandWalk is one BandWalk's state: the tiles met so far, found by a linear
+// scan (a walk over one problem's grid meets at most one per tile size).
 type bandWalk struct {
 	o     *SimOracle
 	tiles []walkTile
 }
 
-// walkTile is one tile summary of a walk, keyed by (O, V, tile).
+// walkTile is one tile of a walk, keyed by (O, V, tile).
 type walkTile struct {
 	o, v, tile int
-	bounds     *ccsd.TileBounds
+	cost       *ccsd.Tile
 }
 
 func (w *bandWalk) inBand(c dataset.Config) bool {
-	b := w.tileBounds(c)
+	b := w.tile(c)
 	if !b.Feasible(c.Nodes) {
 		return false
 	}
-	lo, hi, _ := b.Seconds(c.Nodes) // errors only when infeasible
+	lo, hi, _ := b.Bounds(c.Nodes) // errors only when infeasible
 	o := w.o
 	minOn, maxOn := o.MinSeconds > 0, o.MaxSeconds > 0
 	if (minOn && hi < o.MinSeconds) || (maxOn && lo > o.MaxSeconds) {
@@ -107,20 +100,20 @@ func (w *bandWalk) inBand(c dataset.Config) bool {
 	if (!minOn || lo >= o.MinSeconds) && (!maxOn || hi <= o.MaxSeconds) {
 		return true
 	}
-	_, ok := o.TrueTime(c)
-	return ok
+	bd, _ := b.Simulate(c.Nodes) // feasible, so no error
+	return o.withinBand(bd.Seconds)
 }
 
-// tileBounds returns the walk's summary of c's (O, V, tile), building it on
+// tile returns the walk's ccsd.Tile for c's (O, V, tile), building it on
 // first use.
-func (w *bandWalk) tileBounds(c dataset.Config) *ccsd.TileBounds {
+func (w *bandWalk) tile(c dataset.Config) *ccsd.Tile {
 	for _, t := range w.tiles {
 		if t.o == c.O && t.v == c.V && t.tile == c.TileSize {
-			return t.bounds
+			return t.cost
 		}
 	}
-	b := ccsd.NewTileBounds(w.o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, w.o.opts)
-	w.tiles = append(w.tiles, walkTile{o: c.O, v: c.V, tile: c.TileSize, bounds: b})
+	b := ccsd.NewTile(w.o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, ccsd.Options{})
+	w.tiles = append(w.tiles, walkTile{o: c.O, v: c.V, tile: c.TileSize, cost: b})
 	return b
 }
 

@@ -65,20 +65,21 @@ func bandConfigs() []dataset.Config {
 	return out
 }
 
-// checkBandIdentity fails t unless o.InBand(c) equals TrueTime(c)'s ok.
+// checkBandIdentity fails t unless a fresh BandWalk asked about c alone
+// answers TrueTime(c)'s ok.
 func checkBandIdentity(t *testing.T, o *SimOracle, c dataset.Config) {
 	t.Helper()
 	secs, ok := o.TrueTime(c)
-	if got := o.InBand(c); got != ok {
-		t.Fatalf("%s band [%v, %v] %v: InBand %v, TrueTime (%v, %v)",
+	if got := o.BandWalk()(c); got != ok {
+		t.Fatalf("%s band [%v, %v] %v: walk %v, TrueTime (%v, %v)",
 			o.Spec.Name, o.MinSeconds, o.MaxSeconds, c, got, secs, ok)
 	}
 }
 
-// TestInBandMatchesTrueTime checks InBand against TrueTime's ok over the
-// strided grid, at the default band and with each side disabled, and that
-// the bounds alone settle most configurations (the speedup InBand exists
-// for).
+// TestInBandMatchesTrueTime checks one-configuration walks against
+// TrueTime's ok over the strided grid, at the default band and with each
+// side disabled, and that the bounds alone settle most configurations (the
+// speedup the walk exists for).
 func TestInBandMatchesTrueTime(t *testing.T) {
 	configs := bandConfigs()
 	for _, spec := range []machine.Spec{machine.Aurora(), machine.Frontier()} {
@@ -86,12 +87,12 @@ func TestInBandMatchesTrueTime(t *testing.T) {
 		var feasible, settled int
 		for _, c := range configs {
 			checkBandIdentity(t, def, c)
-			lo, hi, err := ccsd.SecondsBounds(spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, ccsd.Options{})
+			lo, hi, err := ccsd.NewTile(spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, ccsd.Options{}).Bounds(c.Nodes)
 			if err != nil {
 				continue
 			}
 			feasible++
-			if hi < def.MinSeconds || lo > def.MaxSeconds || (lo >= def.MinSeconds && hi <= def.MaxSeconds) {
+			if settledBy(def, lo, hi) {
 				settled++
 			}
 		}
@@ -106,6 +107,14 @@ func TestInBandMatchesTrueTime(t *testing.T) {
 			}
 		}
 	}
+}
+
+// settledBy reports whether bounds [lo, hi] on a configuration's time
+// decide o's band on their own, so a walk needs no exact time for it.
+func settledBy(o *SimOracle, lo, hi float64) bool {
+	minOn, maxOn := o.MinSeconds > 0, o.MaxSeconds > 0
+	return (minOn && hi < o.MinSeconds) || (maxOn && lo > o.MaxSeconds) ||
+		((!minOn || lo >= o.MinSeconds) && (!maxOn || hi <= o.MaxSeconds))
 }
 
 // edgeBands returns bands with an edge exactly on secs or one float step to
@@ -133,7 +142,7 @@ func edgeConfigs() []dataset.Config {
 
 // TestInBandAtBandEdges puts a band edge exactly on a configuration's time
 // and one float step to either side of it, so the interval straddles the
-// edge and InBand must fall back to TrueTime.
+// edge and the walk must finish the exact time.
 func TestInBandAtBandEdges(t *testing.T) {
 	for _, spec := range []machine.Spec{machine.Aurora(), machine.Frontier()} {
 		for _, c := range edgeConfigs() {
@@ -162,7 +171,10 @@ func trueOK(secs float64, ok bool, minSec, maxSec float64) bool {
 // bands. One more walk per machine and band spans every problem, so tiles
 // of the same size from different problems are interleaved in one walk.
 // The reference is one band-free TrueTime per configuration (trueOK), which
-// is checked against TrueTime itself at every band on a stride.
+// is checked against TrueTime itself at every band on a stride. The test
+// also counts the configurations whose bounds straddle a band edge, which
+// the walk can only settle with its tile's exact Simulate, and requires
+// some at the default band and at the edge bands.
 func TestBandWalkMatchesTrueTime(t *testing.T) {
 	var problems []dataset.Problem
 	for i, p := range offsetProblems() {
@@ -176,17 +188,19 @@ func TestBandWalkMatchesTrueTime(t *testing.T) {
 		free := NewSimOracleBand(spec, 0, 0)
 		var all []dataset.Config
 		type ref struct {
-			secs float64
-			ok   bool
+			secs, lo, hi float64
+			ok, feasible bool
 		}
 		refs := map[dataset.Config]ref{}
 		for _, p := range problems {
 			for _, c := range dataset.DefaultGrid().Configs(p) {
 				secs, ok := free.TrueTime(c)
-				refs[c] = ref{secs, ok}
+				lo, hi, err := ccsd.NewTile(spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, ccsd.Options{}).Bounds(c.Nodes)
+				refs[c] = ref{secs: secs, lo: lo, hi: hi, ok: ok, feasible: err == nil}
 				all = append(all, c)
 			}
 		}
+		var exactDefault, exactEdge int // walk calls the bounds leave open
 		bands := [][2]float64{{5, 1200}, {0, 1200}, {5, 0}}
 		for _, c := range edgeConfigs() {
 			if rc := refs[c]; rc.ok {
@@ -197,13 +211,16 @@ func TestBandWalkMatchesTrueTime(t *testing.T) {
 			rc := refs[c]
 			return trueOK(rc.secs, rc.ok, o.MinSeconds, o.MaxSeconds)
 		}
-		walk := func(o *SimOracle, cfgs []dataset.Config) {
+		walk := func(o *SimOracle, cfgs []dataset.Config, exact *int) {
 			t.Helper()
 			keep := o.BandWalk()
 			for _, i := range r.Perm(len(cfgs)) {
 				if got, want := keep(cfgs[i]), want(o, cfgs[i]); got != want {
 					t.Fatalf("%s band [%v, %v] %v: walk %v, TrueTime ok %v (%v s)",
 						spec.Name, o.MinSeconds, o.MaxSeconds, cfgs[i], got, want, refs[cfgs[i]].secs)
+				}
+				if rc := refs[cfgs[i]]; rc.feasible && !settledBy(o, rc.lo, rc.hi) {
+					*exact++
 				}
 			}
 		}
@@ -221,14 +238,23 @@ func TestBandWalkMatchesTrueTime(t *testing.T) {
 				}
 			}
 			if bi < 3 {
-				for _, p := range problems {
-					walk(o, dataset.DefaultGrid().Configs(p))
+				exact := new(int)
+				if bi == 0 {
+					exact = &exactDefault
 				}
-				walk(o, all)
+				for _, p := range problems {
+					walk(o, dataset.DefaultGrid().Configs(p), exact)
+				}
+				walk(o, all, exact)
 				continue
 			}
 			// An edge band sits on one configuration of (146, 1096).
-			walk(o, dataset.DefaultGrid().Configs(problems[len(problems)-1]))
+			walk(o, dataset.DefaultGrid().Configs(problems[len(problems)-1]), &exactEdge)
+		}
+		t.Logf("%s: %d walk calls at the default band and %d at the edge bands finish the exact time", spec.Name, exactDefault, exactEdge)
+		if exactDefault == 0 || exactEdge == 0 {
+			t.Errorf("%s: walks reach the exact fallback %d times at the default band, %d at the edge bands; want some of each",
+				spec.Name, exactDefault, exactEdge)
 		}
 	}
 }
@@ -242,8 +268,8 @@ func TestBandWalkAllocs(t *testing.T) {
 	spec := machine.Aurora()
 	o := NewSimOracle(spec)
 	settled := func(c dataset.Config) bool {
-		lo, hi, err := ccsd.SecondsBounds(spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, c.Nodes, ccsd.Options{})
-		return err == nil && (hi < o.MinSeconds || lo > o.MaxSeconds || (lo >= o.MinSeconds && hi <= o.MaxSeconds))
+		lo, hi, err := ccsd.NewTile(spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, ccsd.Options{}).Bounds(c.Nodes)
+		return err == nil && settledBy(o, lo, hi)
 	}
 	big := dataset.Problem{O: 3000, V: 8000}
 	cases := []struct {
@@ -275,11 +301,12 @@ func TestBandWalkAllocs(t *testing.T) {
 	}
 }
 
-// trueTimeOnly hides an oracle's InBand, so Recommend prunes with TrueTime.
+// trueTimeOnly hides an oracle's BandWalk, so Recommend prunes with
+// TrueTime.
 type trueTimeOnly struct{ Oracle }
 
 // TestRecommendInBandMatchesTrueTime checks Recommend answers the same,
-// bit for bit, whether it prunes with InBand or with TrueTime.
+// bit for bit, whether it prunes with a BandWalk or with TrueTime.
 func TestRecommendInBandMatchesTrueTime(t *testing.T) {
 	spec := machine.Aurora()
 	adv, err := NewAdvisor(tree.New(tree.Params{MaxDepth: 6}, nil), trainDataset(spec))
@@ -292,7 +319,7 @@ func TestRecommendInBandMatchesTrueTime(t *testing.T) {
 			got, err := adv.Recommend(p, obj, oracle)
 			want, werr := adv.Recommend(p, obj, trueTimeOnly{oracle})
 			if (err != nil) != (werr != nil) || got != want {
-				t.Fatalf("%v %v: InBand pruning gave (%+v, %v), TrueTime pruning (%+v, %v)", p, obj, got, err, want, werr)
+				t.Fatalf("%v %v: BandWalk pruning gave (%+v, %v), TrueTime pruning (%+v, %v)", p, obj, got, err, want, werr)
 			}
 		}
 	}

@@ -16,7 +16,7 @@ import (
 //   - Recommend answers STQ/BQ queries through a bounded LRU cache keyed by
 //     (problem, objective), so repeated queries for the same problem don't
 //     re-sweep the candidate grid. The cache engine (sweepCache) supports
-//     entry-count and approximate-byte bounds plus an optional per-entry TTL.
+//     an entry-count bound plus an optional per-entry TTL.
 //   - Concurrent first requests for the same key are coalesced: one
 //     goroutine sweeps, the rest wait for its result (no duplicated work,
 //     no thundering herd on a cold cache).
@@ -46,7 +46,6 @@ type Service struct {
 type serviceConfig struct {
 	oracle     Oracle // optional feasibility pruning, applied to every query
 	maxEntries int
-	maxBytes   int64
 	ttl        time.Duration
 	clock      func() time.Time // non-nil overrides the cache clock
 }
@@ -72,19 +71,11 @@ func WithOracle(o Oracle) ServiceOption {
 	return func(c *serviceConfig) { c.oracle = o }
 }
 
-// WithCacheSize bounds the sweep cache to n entries; n <= 0 removes the
-// entry-count bound, which disables caching entirely unless a byte bound
-// (WithCacheBytes) is also configured.
+// WithCacheSize bounds the sweep cache to n entries; n <= 0 disables
+// caching. Every entry costs the same fixed entryBytes (see cache.go), so
+// the bound is also the cache's byte footprint in entries.
 func WithCacheSize(n int) ServiceOption {
 	return func(c *serviceConfig) { c.maxEntries = max(n, 0) }
-}
-
-// WithCacheBytes bounds the sweep cache's approximate resident footprint to
-// n bytes (each entry costs the fixed entryBytes documented in cache.go).
-// n <= 0 removes the byte bound. Both bounds may be active at once; the
-// cache then holds the fewer entries of the two.
-func WithCacheBytes(n int64) ServiceOption {
-	return func(c *serviceConfig) { c.maxBytes = max(n, 0) }
 }
 
 // WithTTL expires cached sweeps d after insertion, so a model retrained in
@@ -119,7 +110,7 @@ func newService(adv *Advisor, adm *admission.Controller, cfg serviceConfig) (*Se
 	if adv == nil || adv.Model == nil {
 		return nil, fmt.Errorf("guide: a shard requires a fitted advisor")
 	}
-	s := &Service{adv: adv, cfg: cfg, cache: newSweepCache(cfg.maxEntries, cfg.maxBytes, cfg.ttl, adm), memo: newGridMemo(adv.Model)}
+	s := &Service{adv: adv, cfg: cfg, cache: newSweepCache(cfg.maxEntries, cfg.ttl, adm), memo: newGridMemo(adv.Model)}
 	if cfg.clock != nil {
 		s.cache.now = cfg.clock
 	}

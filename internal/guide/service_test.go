@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"parcost/internal/ccsd"
 	"parcost/internal/dataset"
 	"parcost/internal/machine"
 	"parcost/internal/ml/ensemble"
@@ -134,9 +135,39 @@ func TestServiceCacheDisabled(t *testing.T) {
 	}
 }
 
+// walkRecorder is a SimOracle whose walks note every configuration they are
+// asked about.
+type walkRecorder struct {
+	*SimOracle
+	asked *[]dataset.Config
+}
+
+func (w walkRecorder) BandWalk() func(dataset.Config) bool {
+	keep := w.SimOracle.BandWalk()
+	return func(c dataset.Config) bool {
+		*w.asked = append(*w.asked, c)
+		return keep(c)
+	}
+}
+
+// exactFallbacks counts the configurations among asked whose bounds leave
+// o's band open, so a walk settles them with its tile's exact Simulate.
+func exactFallbacks(o *SimOracle, asked []dataset.Config) int {
+	n := 0
+	for _, c := range asked {
+		lo, hi, err := ccsd.NewTile(o.Spec, ccsd.Problem{O: c.O, V: c.V}, c.TileSize, ccsd.Options{}).Bounds(c.Nodes)
+		if err == nil && !settledBy(o, lo, hi) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestServiceConcurrentRecommend fans many goroutines over a mix of hot
-// (repeated) and cold keys; every answer must match the serial advisor.
-// CI runs this under -race.
+// (repeated) and cold keys on one shard, whose walks share one SimOracle.
+// Every answer must equal Advisor.Recommend with a fresh NewSimOracle per
+// query, as perfbench's reference is taken, and some of the queries' walks
+// must reach the exact fallback. CI runs this under -race.
 func TestServiceConcurrentRecommend(t *testing.T) {
 	adv, oracle := serviceAdvisor(t)
 	svc, err := newTestService(adv, WithOracle(oracle))
@@ -146,15 +177,30 @@ func TestServiceConcurrentRecommend(t *testing.T) {
 	problems := []dataset.Problem{
 		{O: 146, V: 1096}, {O: 99, V: 718}, {O: 116, V: 840}, {O: 180, V: 1070},
 	}
+	for i, p := range offsetProblems() {
+		if i%9 == 1 {
+			problems = append(problems, p)
+		}
+	}
 	want := map[Query]Recommendation{}
+	fallbacks := 0
 	for _, p := range problems {
 		for _, obj := range []Objective{ShortestTime, Budget} {
-			rec, err := adv.Recommend(p, obj, oracle)
+			rec, err := adv.Recommend(p, obj, NewSimOracle(oracle.Spec))
 			if err != nil {
 				t.Fatal(err)
 			}
 			want[Query{p, obj}] = rec
+			var asked []dataset.Config
+			if _, err := adv.Recommend(p, obj, walkRecorder{NewSimOracle(oracle.Spec), &asked}); err != nil {
+				t.Fatal(err)
+			}
+			fallbacks += exactFallbacks(oracle, asked)
 		}
+	}
+	t.Logf("%d queries, %d exact fallbacks in their walks", len(want), fallbacks)
+	if fallbacks == 0 {
+		t.Fatal("no query's walk reaches the exact fallback")
 	}
 	var wg sync.WaitGroup
 	var mu sync.Mutex

@@ -133,116 +133,6 @@ func TestExpectedMakespanApproximatesList(t *testing.T) {
 	}
 }
 
-func TestEngineLinearChain(t *testing.T) {
-	e := NewEngine()
-	a := e.Add(1)
-	b := e.Add(2, a)
-	c := e.Add(3, b)
-	_ = c
-	res := e.Run(4)
-	if res.Makespan != 6 {
-		t.Fatalf("chain makespan %v, want 6", res.Makespan)
-	}
-	if res.TotalWork != 6 {
-		t.Fatalf("total work %v", res.TotalWork)
-	}
-}
-
-func TestEngineIndependentTasks(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 4; i++ {
-		e.Add(5)
-	}
-	if m := e.Run(4).Makespan; m != 5 {
-		t.Fatalf("4 independent tasks on 4 ranks makespan %v, want 5", m)
-	}
-	if m := e.Run(2).Makespan; m != 10 {
-		t.Fatalf("4 independent tasks on 2 ranks makespan %v, want 10", m)
-	}
-}
-
-func TestEngineDiamond(t *testing.T) {
-	// a -> {b, c} -> d
-	e := NewEngine()
-	a := e.Add(1)
-	b := e.Add(2, a)
-	c := e.Add(4, a)
-	e.Add(1, b, c)
-	res := e.Run(2)
-	// a finishes at 1; b,c run in parallel on 2 ranks, c finishes at 5;
-	// d starts at 5, finishes at 6.
-	if res.Makespan != 6 {
-		t.Fatalf("diamond makespan %v, want 6", res.Makespan)
-	}
-}
-
-func TestEngineEfficiency(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 8; i++ {
-		e.Add(1)
-	}
-	res := e.Run(4)
-	if eff := res.Efficiency(4); math.Abs(eff-1) > 1e-12 {
-		t.Fatalf("efficiency %v, want 1", eff)
-	}
-}
-
-func TestEngineDeterministic(t *testing.T) {
-	build := func() *Engine {
-		e := NewEngine()
-		r := rng.New(99)
-		ids := []int{}
-		for i := 0; i < 50; i++ {
-			var deps []int
-			if len(ids) > 0 && r.Float64() < 0.5 {
-				deps = append(deps, ids[r.Intn(len(ids))])
-			}
-			ids = append(ids, e.Add(r.Uniform(0.1, 2), deps...))
-		}
-		return e
-	}
-	a := build().Run(4)
-	b := build().Run(4)
-	if a.Makespan != b.Makespan {
-		t.Fatal("engine not deterministic")
-	}
-}
-
-func TestEngineBadDep(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("forward dependency did not panic")
-		}
-	}()
-	e := NewEngine()
-	e.Add(1, 5)
-}
-
-func TestEngineEmpty(t *testing.T) {
-	if m := NewEngine().Run(4).Makespan; m != 0 {
-		t.Fatalf("empty DAG makespan %v", m)
-	}
-}
-
-// Property: Engine on independent tasks equals ListMakespan.
-func TestQuickEngineMatchesList(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(60)
-		ranks := 1 + r.Intn(8)
-		durs := make([]float64, n)
-		e := NewEngine()
-		for i := range durs {
-			durs[i] = r.Uniform(0, 5)
-			e.Add(durs[i])
-		}
-		return math.Abs(e.Run(ranks).Makespan-ListMakespan(durs, ranks)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: makespan is at least total/ranks and at least the max task.
 func TestQuickMakespanLowerBounds(t *testing.T) {
 	f := func(seed uint64) bool {
